@@ -269,9 +269,8 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
     };
     obs::TaskContext bfs_ctx = obs::CaptureTaskContext(
         candidates.empty() ? nullptr : tracer_);
-    std::vector<Eval> evals = ParallelMapWith<Eval>(
-        config_.scheduler, pool_.get(), candidates.size(), /*grain=*/1,
-        [&](size_t c) {
+    std::vector<Eval> evals = ParallelMap<Eval>(
+        pool_.get(), candidates.size(), /*grain=*/1, [&](size_t c) {
           obs::ScopedWorkerSpan task_span(bfs_ctx, "bfs.candidate");
           const Candidate& cand = candidates[c];
           Eval ev;
@@ -518,8 +517,8 @@ Result<AugmentationResult> AutoFeat::Augment(const std::string& base_table,
     double accuracy = 0.0;
   };
   obs::TaskContext eval_ctx = obs::CaptureTaskContext(tracer_);
-  std::vector<PathEval> evals = ParallelMapWith<PathEval>(
-      config_.scheduler, pool_.get(), k + 1, /*grain=*/1, [&](size_t i) {
+  std::vector<PathEval> evals = ParallelMap<PathEval>(
+      pool_.get(), k + 1, /*grain=*/1, [&](size_t i) {
         obs::ScopedWorkerSpan task_span(eval_ctx, "evaluate.path");
         PathEval ev;
         if (i == 0) {

@@ -8,7 +8,6 @@
 
 #include "fs/redundancy.h"
 #include "fs/relevance.h"
-#include "util/scheduler.h"
 
 namespace autofeat {
 
@@ -93,13 +92,6 @@ struct AutoFeatConfig {
   /// and every stochastic task draws from an RNG stream derived from
   /// (seed, task_index).
   size_t num_threads = 1;
-
-  /// Loop runtime for the parallel phases (candidate evaluation, top-k path
-  /// evaluation): kMorsel deals fixed-size morsels across per-lane
-  /// work-stealing deques (skew-tolerant, no intermediate barrier),
-  /// kForkJoin is the shared-cursor ParallelFor. Both fold results in index
-  /// order — the digest is byte-identical across kinds and thread counts.
-  SchedulerKind scheduler = SchedulerKind::kMorsel;
 
   /// Global memory budget in bytes for the lake-wide caches (join-key
   /// indexes during discovery; column sketches during DRG construction —

@@ -6,8 +6,6 @@
 
 #include "discovery/data_lake.h"
 #include "graph/drg.h"
-#include "obs/event_log.h"
-#include "obs/memory.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -34,15 +32,6 @@ uint64_t EntryStream(const std::string& table, const std::string& column) {
   return h;
 }
 
-uint64_t KeyHash(const std::string& key) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 JoinIndexCache::JoinIndexCache(const DataLake* lake, uint64_t seed,
@@ -50,72 +39,10 @@ JoinIndexCache::JoinIndexCache(const DataLake* lake, uint64_t seed,
                                obs::Tracer* tracer, size_t budget_bytes)
     : lake_(lake),
       seed_(seed),
-      budget_bytes_(budget_bytes),
       tracer_(tracer),
-      requests_(obs::GetCounter(metrics, "join_index_cache.requests")),
-      builds_(obs::GetCounter(metrics, "join_index_cache.builds")),
-      // Everything below depends on the eviction schedule (and, under a
-      // budget, on build interleaving), so it is excluded from the
-      // deterministic digest — see the header's metrics-semantics note.
-      hits_(obs::GetCounter(metrics, "join_index_cache.hits",
-                            /*deterministic=*/false)),
-      rebuilds_(obs::GetCounter(metrics, "join_index_cache.rebuilds",
-                                /*deterministic=*/false)),
-      evictions_(obs::GetCounter(metrics, "join_index_cache.evictions",
-                                 /*deterministic=*/false)),
-      bytes_(obs::GetGauge(metrics, "join_index_cache.bytes",
-                           /*deterministic=*/false)),
-      bytes_peak_(obs::GetGauge(metrics, "join_index_cache.bytes_peak",
-                                /*deterministic=*/false)),
       key_cardinality_(
-          obs::GetHistogram(metrics, "join_index_cache.key_cardinality")) {}
-
-void JoinIndexCache::Account(int64_t delta) {
-  obs::AddBytesWithPeak(bytes_, bytes_peak_, delta);
-}
-
-std::shared_ptr<JoinIndexCache::Entry> JoinIndexCache::EntryFor(
-    const std::string& key, uint64_t tick) {
-  std::shared_ptr<Entry>& slot = entries_[key];
-  if (slot == nullptr) slot = std::make_shared<Entry>();
-  slot->last_used = std::max(slot->last_used, tick);
-  return slot;
-}
-
-void JoinIndexCache::EvictForLocked(size_t incoming, const Entry* keep) {
-  if (budget_bytes_ == 0) return;
-  while (resident_bytes_ + incoming > budget_bytes_) {
-    // Victim: least-recently-used resident entry; among entries touched by
-    // the same batch tick, the largest footprint goes first (most bytes
-    // reclaimed per rebuild risked — the cost-aware tie-break). The final
-    // key comparison only makes victim order deterministic.
-    Entry* victim = nullptr;
-    const std::string* victim_key = nullptr;
-    for (const auto& [key, entry] : entries_) {
-      if (entry->index == nullptr || entry.get() == keep) continue;
-      if (victim == nullptr ||
-          entry->last_used < victim->last_used ||
-          (entry->last_used == victim->last_used &&
-           (entry->bytes > victim->bytes ||
-            (entry->bytes == victim->bytes && key < *victim_key)))) {
-        victim = entry.get();
-        victim_key = &key;
-      }
-    }
-    if (victim == nullptr) break;  // everything left is pinned-out or `keep`
-    resident_bytes_ -= victim->bytes;
-    Account(-static_cast<int64_t>(victim->bytes));
-    const size_t sep = victim_key->find('\0');
-    obs::Append(event_log_, "cache_evict",
-                {{"cache", "join_index"},
-                 {"table", victim_key->substr(0, sep)},
-                 {"column", victim_key->substr(sep + 1)},
-                 {"bytes", victim->bytes}});
-    victim->index.reset();
-    victim->bytes = 0;
-    obs::Increment(evictions_);
-  }
-}
+          obs::GetHistogram(metrics, "join_index_cache.key_cardinality")),
+      cache_("join_index", metrics, budget_bytes, /*count_requests=*/true) {}
 
 Result<JoinIndexCache::IndexPin> JoinIndexCache::GetOrBuild(
     const std::string& table, const std::string& column) {
@@ -124,83 +51,18 @@ Result<JoinIndexCache::IndexPin> JoinIndexCache::GetOrBuild(
 
 Result<JoinIndexCache::IndexPin> JoinIndexCache::GetOrBuildWithTick(
     const std::string& table, const std::string& column, uint64_t tick) {
-  obs::Increment(requests_);
-  std::string key = table + '\0' + column;
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (tick == 0) tick = ++tick_;
-    entry = EntryFor(key, tick);
-    if (entry->index != nullptr) {
-      obs::Increment(hits_);
-      return entry->index;
-    }
-    if (entry->failed) {
-      obs::Increment(hits_);
-      return entry->failure;
-    }
-  }
-
-  // Miss: serialise builders of this entry; latecomers re-check and count
-  // as hits. The build itself runs with only build_mutex held.
-  std::lock_guard<std::mutex> build_lock(entry->build_mutex);
-  bool rebuild = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entry->index != nullptr) {
-      obs::Increment(hits_);
-      return entry->index;
-    }
-    if (entry->failed) {
-      obs::Increment(hits_);
-      return entry->failure;
-    }
-    rebuild = entry->ever_built;
-  }
-
-  obs::ScopedWorkerSpan span(tracer_, "join_index.build");
-  auto table_result = lake_->GetTable(table);
-  Result<const Column*> column_result =
-      table_result.ok() ? (*table_result)->GetColumn(column)
-                        : Result<const Column*>(table_result.status());
-  if (!column_result.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry->failed = true;
-    entry->failure = column_result.status();
-    if (!entry->ever_built) {
-      entry->ever_built = true;
-      obs::Increment(builds_);
-    }
-    return entry->failure;
-  }
-  IndexPin pin = std::make_shared<JoinKeyIndex>(BuildJoinKeyIndex(
-      **column_result, DeriveSeed(seed_, EntryStream(table, column))));
-  size_t cost = pin->ApproxBytes();
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!rebuild) {
-    entry->ever_built = true;
-    obs::Increment(builds_);
-    obs::Record(key_cardinality_, pin->num_distinct_keys());
-  } else {
-    obs::Increment(rebuilds_);
-    obs::Append(event_log_, "cache_rebuild",
-                {{"cache", "join_index"},
-                 {"table", table},
-                 {"column", column},
-                 {"bytes", cost}});
-  }
-  // Publish only while it fits: an entry larger than the whole budget is
-  // handed to the caller pin-only, so the resident gauge never exceeds the
-  // budget (the invariant cache_eviction_test asserts via bytes_peak).
-  if (budget_bytes_ == 0 || cost <= budget_bytes_) {
-    EvictForLocked(cost, entry.get());
-    entry->index = pin;
-    entry->bytes = cost;
-    resident_bytes_ += cost;
-    Account(static_cast<int64_t>(cost));
-  }
-  return pin;
+  using Built = BudgetedCache<JoinKeyIndex>::Built;
+  auto build = [&](bool rebuild) -> Result<Built> {
+    obs::ScopedWorkerSpan span(tracer_, "join_index.build");
+    AF_ASSIGN_OR_RETURN(const Table* t, lake_->GetTable(table));
+    AF_ASSIGN_OR_RETURN(const Column* key, t->GetColumn(column));
+    auto index = std::make_shared<JoinKeyIndex>(BuildJoinKeyIndex(
+        *key, DeriveSeed(seed_, EntryStream(table, column))));
+    if (!rebuild) obs::Record(key_cardinality_, index->num_distinct_keys());
+    const size_t bytes = index->ApproxBytes();
+    return Built{std::move(index), bytes};
+  };
+  return cache_.GetOrBuild(table + '\0' + column, build, tick);
 }
 
 void JoinIndexCache::Prewarm(const DatasetRelationGraph& drg,
@@ -220,11 +82,7 @@ void JoinIndexCache::Prewarm(const DatasetRelationGraph& drg,
   // One recency tick for the whole batch: the prewarmed entries are equally
   // recent, which makes the cost-aware (largest-first) tie-break decide
   // eviction order among them under a budget.
-  uint64_t batch_tick;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    batch_tick = ++tick_;
-  }
+  const uint64_t batch_tick = cache_.NextTick();
   ParallelFor(pool, 0, targets.size(), /*grain=*/1, [&](size_t i) {
     // Failures surface (again) at join time; prewarm just drops them.
     GetOrBuildWithTick(targets[i].first, targets[i].second, batch_tick)
@@ -236,108 +94,9 @@ size_t JoinIndexCache::CarryOver(
     const JoinIndexCache& prev,
     const std::unordered_set<std::string>& invalidated_tables) {
   if (prev.seed_ != seed_) return 0;
-  // Snapshot the survivors under prev's lock, then install under ours —
-  // never both at once (no lock-order relationship between two caches).
-  struct Carried {
-    std::string key;
-    IndexPin index;
-    size_t bytes;
-    uint64_t last_used;
-  };
-  std::vector<Carried> carried;
-  uint64_t prev_tick = 0;
-  {
-    std::lock_guard<std::mutex> lock(prev.mutex_);
-    prev_tick = prev.tick_;
-    for (const auto& [key, entry] : prev.entries_) {
-      if (entry->index == nullptr) continue;
-      const std::string table = key.substr(0, key.find('\0'));
-      if (invalidated_tables.count(table) > 0) continue;
-      if (!lake_->HasTable(table)) continue;
-      carried.push_back({key, entry->index, entry->bytes, entry->last_used});
-    }
-  }
-  // Largest last_used installed last so budget eviction (LRU) sheds the
-  // least recently used survivors first, preserving prev's recency order.
-  std::sort(carried.begin(), carried.end(), [](const Carried& a,
-                                               const Carried& b) {
-    return a.last_used != b.last_used ? a.last_used < b.last_used
-                                      : a.key < b.key;
-  });
-  std::lock_guard<std::mutex> lock(mutex_);
-  tick_ = std::max(tick_, prev_tick);
-  size_t installed = 0;
-  for (Carried& c : carried) {
-    if (budget_bytes_ != 0 && c.bytes > budget_bytes_) continue;
-    std::shared_ptr<Entry>& slot = entries_[c.key];
-    if (slot == nullptr) slot = std::make_shared<Entry>();
-    if (slot->index != nullptr) continue;
-    EvictForLocked(c.bytes, slot.get());
-    slot->index = std::move(c.index);
-    slot->bytes = c.bytes;
-    slot->last_used = c.last_used;
-    slot->ever_built = true;
-    resident_bytes_ += c.bytes;
-    Account(static_cast<int64_t>(c.bytes));
-    ++installed;
-  }
-  return installed;
-}
-
-void JoinIndexCache::EvictAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, entry] : entries_) {
-    if (entry->index == nullptr) continue;
-    resident_bytes_ -= entry->bytes;
-    Account(-static_cast<int64_t>(entry->bytes));
-    const size_t sep = key.find('\0');
-    obs::Append(event_log_, "cache_evict",
-                {{"cache", "join_index"},
-                 {"table", key.substr(0, sep)},
-                 {"column", key.substr(sep + 1)},
-                 {"bytes", entry->bytes}});
-    entry->index.reset();
-    entry->bytes = 0;
-    obs::Increment(evictions_);
-  }
-}
-
-void JoinIndexCache::EvictRandomHalf(uint64_t draw) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [key, entry] : entries_) {
-    if (entry->index == nullptr) continue;
-    if (((KeyHash(key) ^ draw) & 1) == 0) continue;
-    resident_bytes_ -= entry->bytes;
-    Account(-static_cast<int64_t>(entry->bytes));
-    const size_t sep = key.find('\0');
-    obs::Append(event_log_, "cache_evict",
-                {{"cache", "join_index"},
-                 {"table", key.substr(0, sep)},
-                 {"column", key.substr(sep + 1)},
-                 {"bytes", entry->bytes}});
-    entry->index.reset();
-    entry->bytes = 0;
-    obs::Increment(evictions_);
-  }
-}
-
-size_t JoinIndexCache::num_entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-size_t JoinIndexCache::num_resident() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t resident = 0;
-  for (const auto& [key, entry] : entries_) {
-    resident += entry->index != nullptr ? 1 : 0;
-  }
-  return resident;
-}
-
-size_t JoinIndexCache::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return resident_bytes_;
+  return cache_.CarryOver(
+      prev.cache_, invalidated_tables,
+      [this](const std::string& table) { return lake_->HasTable(table); });
 }
 
 }  // namespace autofeat

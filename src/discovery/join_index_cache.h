@@ -10,47 +10,23 @@
 // baselines, and across threads (sibling of LakeSketchCache, which plays
 // the same role for DRG construction).
 //
-// Memory budget: with budget_bytes > 0 the cache keeps its resident entries
-// within the budget by evicting, on each insertion, the least-recently-used
-// entries first (larger footprint first among entries touched by the same
-// batch operation — freeing the most bytes per eviction is the cost-aware
-// tie-break; Prewarm stamps all its entries with one recency tick, so the
-// tie is real there). An entry whose own footprint exceeds the budget is
-// handed to the caller but never becomes resident. Evicted entries are
-// rebuilt on the next request (rebuild-on-miss); because every entry is a
-// pure function of (table contents, column, seed) — never of build
-// interleaving or eviction schedule — results are byte-identical under any
-// eviction schedule (the `cache.eviction_oblivious` fuzzer invariant).
-//
-// Callers receive a shared_ptr pin, so an entry evicted while a worker is
-// mid-join stays alive until the last pin drops; the budget bounds the
-// cache-resident bytes (`join_index_cache.bytes` gauge), matching what
-// eviction can actually reclaim.
-//
-// Thread safety: GetOrBuild may be called concurrently from pool workers;
-// concurrent requests for one entry build it once (the per-entry build
-// mutex serialises builders; latecomers count as hits). Lock order: a
-// build mutex may acquire the cache mutex, never the reverse — eviction
-// only takes the cache mutex, so it cannot deadlock against builders.
-//
-// Metrics semantics (and why): `requests` and `builds` (first-time builds)
-// are workload-determined and stay deterministic; `hits`, `rebuilds`,
-// `evictions` and the byte gauges depend on the eviction schedule and are
-// registered non-deterministic so the obs digest is identical between
-// evicted and unevicted runs. `key_cardinality` records only first-time
-// builds (rebuilds reproduce the same index).
+// The budget, pins, eviction order, thread safety and byte gauges are
+// BudgetedCache's (discovery/budgeted_cache.h), keyed by "table\0column".
+// Every entry is a pure function of (table contents, column, seed), so
+// rebuilds after eviction are byte-identical. Metrics: `requests` and
+// `builds` are deterministic; `hits`, `rebuilds`, `evictions` and the byte
+// gauges depend on the eviction schedule. `key_cardinality` records only
+// first-time builds (rebuilds reproduce the same index).
 
 #ifndef AUTOFEAT_DISCOVERY_JOIN_INDEX_CACHE_H_
 #define AUTOFEAT_DISCOVERY_JOIN_INDEX_CACHE_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
+#include "discovery/budgeted_cache.h"
 #include "obs/metrics.h"
 #include "relational/join_index.h"
 #include "util/status.h"
@@ -58,7 +34,6 @@
 namespace autofeat {
 
 namespace obs {
-class EventLog;
 class Tracer;
 }  // namespace obs
 
@@ -115,63 +90,33 @@ class JoinIndexCache {
   /// Attaches a structured event log: evictions append `cache_evict` and
   /// post-eviction rebuilds append `cache_rebuild` events (obs/event_log.h).
   /// Call before the cache is shared across threads.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
+  void set_event_log(obs::EventLog* log) { cache_.set_event_log(log); }
 
   /// Evicts every resident entry (the adversarial stress schedule of the
   /// eviction-obliviousness invariant). Outstanding pins stay valid.
-  void EvictAll();
+  void EvictAll() { cache_.EvictAll(); }
 
-  /// Evicts the resident entries whose key hash has the same low bit as
-  /// `draw` — a deterministic function of (resident set, draw), used by the
-  /// seeded random eviction-stress schedule.
-  void EvictRandomHalf(uint64_t draw);
+  /// Evicts a deterministic half of the resident entries chosen by `draw`
+  /// (the seeded random eviction-stress schedule).
+  void EvictRandomHalf(uint64_t draw) { cache_.EvictRandomHalf(draw); }
 
   /// Entries ever created (resident or evicted).
-  size_t num_entries() const;
+  size_t num_entries() const { return cache_.num_entries(); }
   /// Entries currently holding a built index.
-  size_t num_resident() const;
-  /// Sum of the resident entries' ApproxBytes (== the bytes gauge).
-  size_t resident_bytes() const;
-  size_t budget_bytes() const { return budget_bytes_; }
+  size_t num_resident() const { return cache_.num_resident(); }
+  /// Sum of the resident entries' ApproxBytes.
+  size_t resident_bytes() const { return cache_.resident_bytes(); }
 
  private:
-  struct Entry {
-    std::mutex build_mutex;  // serialises builders; see lock order above
-    // All fields below are guarded by the cache-wide mutex_.
-    IndexPin index;          // null when not built or evicted
-    size_t bytes = 0;        // ApproxBytes of `index` while resident
-    uint64_t last_used = 0;  // recency tick of the latest request
-    bool ever_built = false; // distinguishes builds from rebuilds
-    Status failure;          // sticky lookup failure (bad table/column)
-    bool failed = false;
-  };
-
-  std::shared_ptr<Entry> EntryFor(const std::string& key, uint64_t tick);
   Result<IndexPin> GetOrBuildWithTick(const std::string& table,
                                       const std::string& column,
                                       uint64_t tick);
-  // Drops resident entries (skipping `keep`) until resident_bytes_ +
-  // incoming <= budget. Caller holds mutex_.
-  void EvictForLocked(size_t incoming, const Entry* keep);
-  void Account(int64_t delta);
 
   const DataLake* lake_;
   uint64_t seed_;
-  size_t budget_bytes_;
   obs::Tracer* tracer_;
-  obs::EventLog* event_log_ = nullptr;
-  obs::Counter* requests_;
-  obs::Counter* builds_;
-  obs::Counter* hits_;
-  obs::Counter* rebuilds_;
-  obs::Counter* evictions_;
-  obs::Gauge* bytes_;
-  obs::Gauge* bytes_peak_;
   obs::Histogram* key_cardinality_;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
-  size_t resident_bytes_ = 0;
-  uint64_t tick_ = 0;
+  BudgetedCache<JoinKeyIndex> cache_;
 };
 
 }  // namespace autofeat

@@ -11,33 +11,26 @@
 // containment/Jaccard estimates are stable under sampling (see
 // schema_matcher.h).
 //
-// Memory budget: with budget_bytes > 0 the per-table entries are bounded by
-// cost-aware LRU eviction exactly as in JoinIndexCache (least recently used
-// first; largest footprint first within one batch tick; an entry bigger
-// than the whole budget is handed out pin-only). Sketches are pure
-// functions of (table contents, max_sample), so rebuilds are byte-identical
-// and eviction never changes the discovered DRG. Callers hold entries
-// through shared_ptr pins; `table_sketches()` returns a bare reference and
-// is only stable on an unbudgeted cache.
+// The budget, pins, eviction order, thread safety and byte gauges are
+// BudgetedCache's (discovery/budgeted_cache.h), keyed by table name — so
+// entries carry across snapshots whose table positions differ. Sketches
+// are pure functions of (table contents, max_sample), so rebuilds are
+// byte-identical and eviction never changes the discovered DRG.
 
 #ifndef AUTOFEAT_DISCOVERY_SKETCH_CACHE_H_
 #define AUTOFEAT_DISCOVERY_SKETCH_CACHE_H_
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "discovery/budgeted_cache.h"
 #include "obs/metrics.h"
 #include "table/table.h"
 
 namespace autofeat {
-
-namespace obs {
-class EventLog;
-}  // namespace obs
 
 class DataLake;
 class ThreadPool;
@@ -94,8 +87,6 @@ class LakeSketchCache {
   /// Compatibility builder: constructs a cache over `lake` and prewarms
   /// every table (fanning out over `pool` when given; per-table sketching
   /// records `sketch.table` worker spans into the pool's attached tracer).
-  /// With budget_bytes == 0 this reproduces the old eager semantics —
-  /// every entry resident, `table_sketches()` references stable.
   static LakeSketchCache Build(const DataLake& lake, size_t max_sample,
                                ThreadPool* pool = nullptr,
                                obs::MetricsRegistry* metrics = nullptr,
@@ -124,54 +115,25 @@ class LakeSketchCache {
   /// Attaches a structured event log: evictions append `cache_evict` and
   /// post-eviction rebuilds append `cache_rebuild` events (obs/event_log.h).
   /// Call before the cache is shared across threads.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
+  void set_event_log(obs::EventLog* log) { cache_.set_event_log(log); }
 
   /// Evicts every resident entry. Outstanding pins stay valid.
-  void EvictAll();
+  void EvictAll() { cache_.EvictAll(); }
 
-  /// Bare reference for unbudgeted caches (the pre-budget API); invalidated
-  /// by eviction, so budgeted callers must hold a GetOrBuild pin instead.
-  const std::vector<ColumnSketch>& table_sketches(size_t table_index);
-
-  size_t num_tables() const;
-  size_t max_sample() const { return max_sample_; }
   /// Entries currently holding built sketches.
-  size_t num_resident() const;
-  /// Sum of the resident entries' ApproxBytes (== the bytes gauge).
-  size_t resident_bytes() const;
-  size_t budget_bytes() const { return budget_bytes_; }
+  size_t num_resident() const { return cache_.num_resident(); }
+  /// Sum of the resident entries' ApproxBytes.
+  size_t resident_bytes() const { return cache_.resident_bytes(); }
 
  private:
-  struct Entry {
-    std::mutex build_mutex;  // serialises builders of this entry
-    // Guarded by State::mutex:
-    TableSketchesPin sketches;
-    size_t bytes = 0;
-    uint64_t last_used = 0;
-    bool ever_built = false;
-  };
-  // Behind a unique_ptr so the cache stays movable (mutexes are not).
-  struct State {
-    mutable std::mutex mutex;
-    std::vector<std::shared_ptr<Entry>> entries;
-    size_t resident_bytes = 0;
-    uint64_t tick = 0;
-  };
+  using Sketches = std::vector<ColumnSketch>;
 
   TableSketchesPin GetOrBuildWithTick(size_t table_index, uint64_t tick,
                                       ThreadPool* pool);
-  void EvictForLocked(size_t incoming, const Entry* keep);
 
   const DataLake* lake_;
   size_t max_sample_ = 0;
-  size_t budget_bytes_ = 0;
-  obs::Counter* builds_;
-  obs::Counter* rebuilds_;
-  obs::Counter* evictions_;
-  obs::Gauge* bytes_;
-  obs::Gauge* bytes_peak_;
-  obs::EventLog* event_log_ = nullptr;
-  std::unique_ptr<State> state_;
+  BudgetedCache<Sketches> cache_;
 };
 
 }  // namespace autofeat

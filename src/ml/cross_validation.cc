@@ -72,9 +72,8 @@ Result<CrossValidationResult> CrossValidate(
     double auc = 0.0;
   };
   obs::TaskContext fold_ctx = obs::CaptureTaskContext(options.tracer);
-  std::vector<FoldEval> evals = ParallelMapWith<FoldEval>(
-      options.scheduler, pool.get(), options.folds, /*grain=*/1,
-      [&](size_t fold) {
+  std::vector<FoldEval> evals = ParallelMap<FoldEval>(
+      pool.get(), options.folds, /*grain=*/1, [&](size_t fold) {
         obs::ScopedWorkerSpan fold_span(fold_ctx, "cv.fold");
         FoldEval ev;
         std::vector<size_t> train_rows, test_rows;

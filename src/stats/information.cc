@@ -32,8 +32,8 @@ constexpr int kDenseLimit = 64;
 // hash path, three unordered_maps) from scratch; under BFS evaluation that
 // is several allocations per candidate. One scratch block per worker thread
 // amortises them: buffers are sized on first use, reused across candidates
-// and morsels, and released when the owning thread (scheduler worker or
-// caller) exits.
+// and chunks, and released when the owning thread (pool worker or caller)
+// exits.
 
 // Hash-path counter: maps packed code tuples to dense indices in
 // first-occurrence order, counts in a flat vector. Two properties matter:
@@ -41,7 +41,7 @@ constexpr int kDenseLimit = 64;
 // (b) the entropy reduction runs over `counts` in first-occurrence order —
 // a pure function of the input sequence — never over the map's bucket
 // order, which depends on the container's allocation history and would
-// otherwise leak the work-stealing schedule into last-ulp entropy values.
+// otherwise leak the loop schedule into last-ulp entropy values.
 struct HashCounter {
   std::unordered_map<uint64_t, uint32_t> index;
   std::vector<uint32_t> counts;

@@ -169,9 +169,9 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   // cursor runs dry. The caller participates too, so the pool being busy
   // with other work never deadlocks this loop.
   size_t helpers = std::min(pool->num_threads(), state.num_chunks - 1);
-  std::atomic<size_t> helpers_live{helpers};
   std::mutex helper_mutex;
   std::condition_variable helper_cv;
+  size_t helpers_live = helpers;  // guarded by helper_mutex
   obs::Tracer* tracer = pool->tracer();
   for (size_t t = 0; t < helpers; ++t) {
     // Captured on the caller thread: the enqueuing span becomes the
@@ -181,10 +181,10 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
     pool->Submit([&, ctx] {
       obs::ScopedWorkerSpan span(ctx, "thread_pool.worker");
       obs::Increment(chunks_helper, state.RunChunks());
-      if (helpers_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(helper_mutex);
-        helper_cv.notify_all();
-      }
+      // Count down under the mutex: once the caller sees zero it destroys
+      // these locals, so no helper may touch them after unlocking.
+      std::lock_guard<std::mutex> lock(helper_mutex);
+      if (--helpers_live == 0) helper_cv.notify_all();
     });
   }
   obs::Increment(chunks_caller, state.RunChunks());
@@ -197,9 +197,7 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   // instructions; don't let `state` leave scope under them.
   {
     std::unique_lock<std::mutex> lock(helper_mutex);
-    helper_cv.wait(lock, [&] {
-      return helpers_live.load(std::memory_order_acquire) == 0;
-    });
+    helper_cv.wait(lock, [&] { return helpers_live == 0; });
   }
   if (state.error) std::rethrow_exception(state.error);
 }

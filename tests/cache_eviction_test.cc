@@ -1,26 +1,31 @@
-// Memory-budgeted cache eviction: LRU order, the cost-aware victim
-// tie-break, budget enforcement (the bytes gauges never exceed the budget),
-// rebuild-on-miss reproducibility, pin lifetime across eviction, and the
-// metrics-as-assertion accounting audit for both lake caches
-// (JoinIndexCache and LakeSketchCache).
+// Memory-budgeted caching. The generic semantics — LRU order and the
+// cost-aware tie-break within one batch tick, pin-only admission and the
+// budget bound, pins outliving eviction, the deterministic EvictRandomHalf,
+// CarryOver, sticky failures and the byte gauges — are tested once against
+// BudgetedCache with a toy value type. The adapter suites (JoinIndexCache,
+// LakeSketchCache) check only what the adapters add: rebuilds reproduce the
+// identical entry, and the ApproxBytes accounting audit.
 //
-// The concurrent stress tests at the bottom are the TSan targets: workers
-// hammer GetOrBuild while other workers run the adversarial eviction
-// schedules (EvictAll / EvictRandomHalf) underneath them.
+// The concurrent stress test is the TSan target: workers hammer GetOrBuild
+// while other workers run the adversarial eviction schedules (EvictAll /
+// EvictRandomHalf) underneath them.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datagen/lake_builder.h"
+#include "discovery/budgeted_cache.h"
 #include "discovery/data_lake.h"
 #include "discovery/join_index_cache.h"
 #include "discovery/sketch_cache.h"
 #include "graph/drg.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "relational/join_index.h"
 #include "table/column.h"
@@ -30,9 +35,303 @@
 namespace autofeat {
 namespace {
 
+// ---------------------------------------------------------------------------
+// BudgetedCache over a toy value: each key's value is the key itself, and
+// the test chooses every entry's cost.
+// ---------------------------------------------------------------------------
+
+using ToyCache = BudgetedCache<std::string>;
+
+// A build function charging `bytes` that counts its invocations.
+auto Builder(size_t bytes, int* calls = nullptr) {
+  return [bytes, calls](bool) -> Result<ToyCache::Built> {
+    if (calls != nullptr) ++*calls;
+    return ToyCache::Built{std::make_shared<const std::string>("v"), bytes};
+  };
+}
+
+// Requests `key` at cost `bytes`; true when the request was a miss (built).
+bool Miss(ToyCache* cache, const std::string& key, size_t bytes = 100) {
+  int calls = 0;
+  cache->GetOrBuild(key, Builder(bytes, &calls)).status().Abort();
+  return calls > 0;
+}
+
+// The keys among `keys` that are resident, found by probing (a probe of a
+// non-resident key builds it; probe only unbudgeted caches).
+std::set<std::string> Resident(ToyCache* cache,
+                               const std::vector<std::string>& keys) {
+  std::set<std::string> resident;
+  for (const std::string& key : keys) {
+    if (!Miss(cache, key)) resident.insert(key);
+  }
+  return resident;
+}
+
+ToyCache MakeToy(obs::MetricsRegistry* registry, size_t budget) {
+  return ToyCache("toy", registry, budget, /*count_requests=*/true);
+}
+
+TEST(BudgetedCacheTest, UnbudgetedCacheNeverEvicts) {
+  obs::MetricsRegistry registry;
+  ToyCache cache = MakeToy(&registry, 0);
+  for (const char* key : {"a", "b", "c"}) EXPECT_TRUE(Miss(&cache, key));
+  for (const char* key : {"a", "b", "c"}) EXPECT_FALSE(Miss(&cache, key));
+  EXPECT_EQ(cache.num_entries(), 3u);
+  EXPECT_EQ(cache.num_resident(), 3u);
+  EXPECT_EQ(registry.CounterValue("toy_cache.requests"), 6u);
+  EXPECT_EQ(registry.CounterValue("toy_cache.builds"), 3u);
+  EXPECT_EQ(registry.CounterValue("toy_cache.hits"), 3u);
+  EXPECT_EQ(registry.CounterValue("toy_cache.evictions"), 0u);
+  EXPECT_EQ(registry.GaugeValue("toy_cache.bytes"), 300);
+  EXPECT_EQ(cache.resident_bytes(), 300u);
+}
+
+TEST(BudgetedCacheTest, LruEvictsLeastRecentlyUsedFirst) {
+  obs::MetricsRegistry registry;
+  ToyCache cache = MakeToy(&registry, 200);
+  Miss(&cache, "a");
+  Miss(&cache, "b");
+  Miss(&cache, "a");  // now `b` is the least recently used
+  Miss(&cache, "c");
+  EXPECT_EQ(cache.num_resident(), 2u);
+  EXPECT_EQ(registry.CounterValue("toy_cache.evictions"), 1u);
+  EXPECT_FALSE(Miss(&cache, "a"));
+  EXPECT_FALSE(Miss(&cache, "c"));
+  EXPECT_TRUE(Miss(&cache, "b"));
+  EXPECT_EQ(registry.CounterValue("toy_cache.rebuilds"), 1u);
+}
+
+TEST(BudgetedCacheTest, OneBatchTickEvictsTheLargestFirstThenByKey) {
+  // Equally recent entries (one batch tick) fall through to the cost-aware
+  // tie-break: largest footprint first, then the smallest key.
+  obs::MetricsRegistry registry;
+  ToyCache cache = MakeToy(&registry, 350);
+  const uint64_t batch = cache.NextTick();
+  for (const auto& [key, bytes] :
+       std::vector<std::pair<std::string, size_t>>{
+           {"small", 50}, {"wide", 200}, {"y", 100}}) {
+    cache.GetOrBuild(key, Builder(bytes), batch).status().Abort();
+  }
+  EXPECT_EQ(cache.resident_bytes(), 350u);
+  cache.GetOrBuild("x", Builder(100), batch).status().Abort();
+  EXPECT_EQ(cache.resident_bytes(), 250u);  // `wide` went
+  cache.GetOrBuild("z", Builder(150), batch).status().Abort();
+  EXPECT_EQ(cache.resident_bytes(), 300u);  // then `x` (ties `y` on bytes)
+  EXPECT_EQ(registry.CounterValue("toy_cache.evictions"), 2u);
+  EXPECT_FALSE(Miss(&cache, "small", 50));
+  EXPECT_FALSE(Miss(&cache, "y"));
+  EXPECT_FALSE(Miss(&cache, "z", 150));
+  EXPECT_TRUE(Miss(&cache, "x"));
+}
+
+TEST(BudgetedCacheTest, BudgetIsNeverExceededAndOversizedEntriesArePinOnly) {
+  obs::MetricsRegistry registry;
+  const size_t budget = 250;
+  ToyCache cache = MakeToy(&registry, budget);
+  const size_t costs[] = {30, 60, 90, 120, 15};
+  const char* keys[] = {"a", "b", "c", "d", "e"};
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 5; ++i) {
+      const int k = (i * 3 + round) % 5;
+      cache.GetOrBuild(keys[k], Builder(costs[k])).status().Abort();
+      EXPECT_LE(cache.resident_bytes(), budget);
+      EXPECT_LE(registry.GaugeValue("toy_cache.bytes"),
+                static_cast<int64_t>(budget));
+    }
+    if (round == 1) cache.EvictRandomHalf(round);
+    if (round == 2) cache.EvictAll();
+  }
+  EXPECT_GT(registry.GaugeValue("toy_cache.bytes_peak"), 0);
+  EXPECT_LE(registry.GaugeValue("toy_cache.bytes_peak"),
+            static_cast<int64_t>(budget));
+
+  // An entry bigger than the whole budget is handed out but never resident,
+  // and admitting nothing evicts nothing.
+  const size_t resident = cache.resident_bytes();
+  int calls = 0;
+  Result<ToyCache::Pin> big =
+      cache.GetOrBuild("big", Builder(budget + 1, &calls));
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(**big, "v");
+  EXPECT_EQ(cache.resident_bytes(), resident);
+  cache.GetOrBuild("big", Builder(budget + 1, &calls)).status().Abort();
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(BudgetedCacheTest, PinOutlivesEviction) {
+  ToyCache cache = MakeToy(nullptr, 0);
+  Result<ToyCache::Pin> pin = cache.GetOrBuild("a", Builder(10));
+  ASSERT_TRUE(pin.ok());
+  cache.EvictAll();
+  EXPECT_EQ(cache.num_resident(), 0u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  // The pin keeps the evicted value alive and usable (ASan checks this).
+  EXPECT_EQ(**pin, "v");
+  Result<ToyCache::Pin> rebuilt = cache.GetOrBuild("a", Builder(10));
+  EXPECT_NE(pin->get(), rebuilt->get());
+}
+
+TEST(BudgetedCacheTest, EvictRandomHalfIsDeterministicAndComplementary) {
+  const std::vector<std::string> keys = {
+      "a", "b", std::string("c") + '\0' + "k", "d", "e", "f", "g", "h"};
+  auto populate = [&keys] {
+    ToyCache cache = MakeToy(nullptr, 0);
+    for (const std::string& key : keys) Miss(&cache, key);
+    return cache;
+  };
+  ToyCache c1 = populate(), c2 = populate(), c3 = populate();
+  c1.EvictRandomHalf(0xABCDEF);
+  c2.EvictRandomHalf(0xABCDEF);
+  c3.EvictRandomHalf(0xABCDEF ^ 1);
+  const std::set<std::string> kept1 = Resident(&c1, keys);
+  EXPECT_EQ(kept1, Resident(&c2, keys));
+  // A draw and its bit-flipped complement keep complementary halves.
+  const std::set<std::string> kept3 = Resident(&c3, keys);
+  EXPECT_EQ(kept1.size() + kept3.size(), keys.size());
+  for (const std::string& key : kept1) EXPECT_EQ(kept3.count(key), 0u);
+}
+
+TEST(BudgetedCacheTest, CarryOverSkipsInvalidatedTablesAndKeepsRecencyOrder) {
+  obs::MetricsRegistry registry;
+  ToyCache prev = MakeToy(&registry, 0);
+  const std::string orders_cust = std::string("orders") + '\0' + "cust";
+  for (const std::string& key :
+       {std::string("a"), orders_cust, std::string("b"), std::string("gone"),
+        std::string("c")}) {
+    Miss(&prev, key);
+  }
+  Miss(&prev, "a");  // most recent now
+  Result<ToyCache::Pin> a_pin = prev.GetOrBuild("a", Builder(100));
+
+  // Only `a` and `c` survive: `b` and `orders` (matched on the key's table
+  // part) are invalidated, and `gone` is missing from the new lake.
+  ToyCache next = MakeToy(&registry, 200);
+  const size_t installed =
+      next.CarryOver(prev, {"b", "orders"},
+                     [](const std::string& table) { return table != "gone"; });
+  EXPECT_EQ(installed, 2u);
+  EXPECT_EQ(next.num_resident(), 2u);
+  Result<ToyCache::Pin> carried = next.GetOrBuild("a", Builder(100));
+  EXPECT_EQ(carried->get(), a_pin->get());  // by pointer, not rebuilt
+  EXPECT_FALSE(Miss(&next, "c"));
+  EXPECT_TRUE(Miss(&next, orders_cust));
+
+  // A tighter budget keeps only the most recent survivor.
+  ToyCache tight = MakeToy(&registry, 100);
+  EXPECT_EQ(tight.CarryOver(prev, {}, [](const std::string&) { return true; }),
+            5u);
+  EXPECT_EQ(tight.num_resident(), 1u);
+  EXPECT_FALSE(Miss(&tight, "a"));
+}
+
+TEST(BudgetedCacheTest, BuildFailuresAreSticky) {
+  obs::MetricsRegistry registry;
+  ToyCache cache = MakeToy(&registry, 0);
+  int calls = 0;
+  auto failing = [&calls](bool) -> Result<ToyCache::Built> {
+    ++calls;
+    return Status::KeyError("no such column");
+  };
+  EXPECT_FALSE(cache.GetOrBuild("t", failing).ok());
+  EXPECT_FALSE(cache.GetOrBuild("t", failing).ok());
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(registry.CounterValue("toy_cache.builds"), 1u);
+  EXPECT_EQ(registry.CounterValue("toy_cache.hits"), 1u);
+  EXPECT_EQ(cache.num_resident(), 0u);
+}
+
+TEST(BudgetedCacheTest, GaugesSumTheLiveCachesSharingARegistry) {
+  obs::MetricsRegistry registry;
+  ToyCache kept = MakeToy(&registry, 0);
+  Miss(&kept, "a", 40);
+  {
+    ToyCache dropped = MakeToy(&registry, 0);
+    Miss(&dropped, "a", 100);
+    ToyCache moved(std::move(dropped));  // moved-from returns nothing
+    EXPECT_EQ(registry.GaugeValue("toy_cache.bytes"), 140);
+  }
+  EXPECT_EQ(registry.GaugeValue("toy_cache.bytes"), 40);
+  EXPECT_EQ(registry.GaugeValue("toy_cache.bytes_peak"), 140);
+}
+
+TEST(BudgetedCacheTest, EvictionsAndRebuildsAreLogged) {
+  obs::EventLog events;
+  ToyCache cache = MakeToy(nullptr, 0);
+  cache.set_event_log(&events);
+  const std::string key = std::string("orders") + '\0' + "cust";
+  Miss(&cache, key, 7);
+  Miss(&cache, "customers", 9);
+  cache.EvictAll();
+  Miss(&cache, "customers", 9);
+  const std::string log = events.Jsonl(false);
+  EXPECT_NE(log.find("\"type\": \"cache_evict\", \"cache\": \"toy\", "
+                     "\"table\": \"orders\", \"column\": \"cust\", "
+                     "\"bytes\": 7"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("\"type\": \"cache_rebuild\", \"cache\": \"toy\", "
+                     "\"table\": \"customers\", \"bytes\": 9"),
+            std::string::npos)
+      << log;
+  EXPECT_EQ(events.size(), 3u);
+}
+
+TEST(BudgetedCacheTest, ConcurrentRequestsBuildEachKeyOnce) {
+  ToyCache cache = MakeToy(nullptr, 0);
+  std::atomic<int> builds{0};
+  auto build = [&builds](bool) -> Result<ToyCache::Built> {
+    builds.fetch_add(1);
+    return ToyCache::Built{std::make_shared<const std::string>("v"), 1};
+  };
+  ThreadPool pool(8);
+  std::vector<ToyCache::Pin> seen(64);
+  ParallelFor(&pool, 0, seen.size(), /*grain=*/1, [&](size_t i) {
+    seen[i] = *cache.GetOrBuild(i % 2 == 0 ? "a" : "b", build);
+  });
+  EXPECT_EQ(builds.load(), 2);
+  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], seen[i % 2]);
+}
+
+TEST(BudgetedCacheTest, ConcurrentHitsEvictionsAndRebuilds) {
+  const std::vector<std::string> keys = {"a", "b", "c", "d"};
+  const size_t costs[] = {40, 70, 100, 25};
+  const size_t budget = 170;
+  obs::MetricsRegistry registry;
+  ToyCache cache = MakeToy(&registry, budget);
+  ThreadPool pool(8);
+  std::atomic<int> failures{0};
+  ParallelFor(&pool, 0, 512, /*grain=*/1, [&](size_t i) {
+    if (i % 13 == 0) {
+      cache.EvictAll();
+      return;
+    }
+    if (i % 7 == 0) {
+      cache.EvictRandomHalf(i);
+      return;
+    }
+    const size_t k = i % 4;
+    auto build = [&](bool) -> Result<ToyCache::Built> {
+      return ToyCache::Built{std::make_shared<const std::string>(keys[k]),
+                             costs[k]};
+    };
+    Result<ToyCache::Pin> pin = cache.GetOrBuild(keys[k], build);
+    if (!pin.ok() || **pin != keys[k]) {
+      failures.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(cache.resident_bytes(), budget);
+  EXPECT_LE(registry.GaugeValue("toy_cache.bytes_peak"),
+            static_cast<int64_t>(budget));
+}
+
+// ---------------------------------------------------------------------------
+// Adapters
+// ---------------------------------------------------------------------------
+
 // A table whose key column "k" holds `keys` distinct string keys of width
-// `width` plus a payload column — footprint of the join index (and of the
-// column sketch) grows with both knobs.
+// `width` plus a payload column.
 Table KeyTable(const std::string& name, size_t keys, size_t width) {
   std::vector<std::string> k(keys);
   std::vector<double> v(keys);
@@ -52,158 +351,6 @@ DataLake LakeOf(std::vector<Table> tables) {
   return lake;
 }
 
-// Footprint of one (table, "k") join-index entry, measured with a throwaway
-// unbudgeted cache.
-size_t IndexEntryBytes(const DataLake& lake, const std::string& table) {
-  JoinIndexCache probe(&lake, /*seed=*/7);
-  probe.GetOrBuild(table, "k").status().Abort();
-  return probe.resident_bytes();
-}
-
-// Footprint of one table's sketch-cache entry, likewise.
-size_t SketchEntryBytes(const DataLake& lake, size_t table_index) {
-  LakeSketchCache probe(&lake, /*max_sample=*/64);
-  probe.GetOrBuild(table_index);
-  return probe.resident_bytes();
-}
-
-int64_t Counter(const obs::MetricsRegistry& registry, const std::string& n) {
-  return registry.CounterValue(n);
-}
-
-// ---------------------------------------------------------------------------
-// JoinIndexCache
-// ---------------------------------------------------------------------------
-
-TEST(JoinIndexCacheEvictionTest, UnbudgetedCacheNeverEvicts) {
-  DataLake lake = LakeOf({KeyTable("a", 50, 8), KeyTable("b", 80, 8),
-                          KeyTable("c", 20, 8)});
-  obs::MetricsRegistry registry;
-  JoinIndexCache cache(&lake, 7, &registry);
-  for (const char* t : {"a", "b", "c"}) {
-    cache.GetOrBuild(t, "k").status().Abort();
-  }
-  EXPECT_EQ(cache.num_entries(), 3u);
-  EXPECT_EQ(cache.num_resident(), 3u);
-  EXPECT_EQ(Counter(registry, "join_index_cache.evictions"), 0);
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 0);
-  EXPECT_EQ(registry.GaugeValue("join_index_cache.bytes"),
-            static_cast<int64_t>(cache.resident_bytes()));
-}
-
-TEST(JoinIndexCacheEvictionTest, LruEvictsLeastRecentlyUsedFirst) {
-  // Three tables with identical key shapes (same count, same lengths —
-  // ApproxBytes is size-based), so every entry has the same footprint E and
-  // the recency order alone decides the victim.
-  DataLake lake = LakeOf({KeyTable("a", 40, 8), KeyTable("b", 40, 8),
-                          KeyTable("c", 40, 8)});
-  const size_t entry = IndexEntryBytes(lake, "a");
-  ASSERT_GT(entry, 0u);
-  ASSERT_EQ(entry, IndexEntryBytes(lake, "b"));
-
-  obs::MetricsRegistry registry;
-  JoinIndexCache cache(&lake, 7, &registry, nullptr,
-                       /*budget_bytes=*/2 * entry);
-  cache.GetOrBuild("a", "k").status().Abort();
-  cache.GetOrBuild("b", "k").status().Abort();
-  EXPECT_EQ(cache.num_resident(), 2u);
-  // Touch `a`: now `b` is the least recently used.
-  cache.GetOrBuild("a", "k").status().Abort();
-  cache.GetOrBuild("c", "k").status().Abort();
-  EXPECT_EQ(cache.num_resident(), 2u);
-  EXPECT_EQ(Counter(registry, "join_index_cache.evictions"), 1);
-
-  // `a` and `c` must still be resident (hits), `b` must have been the
-  // victim (rebuild).
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 0);
-  cache.GetOrBuild("c", "k").status().Abort();
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 0);
-  cache.GetOrBuild("b", "k").status().Abort();
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 1);
-}
-
-TEST(JoinIndexCacheEvictionTest, PrewarmEvictsTheLargestEntryFirst) {
-  // All Prewarm entries share one recency tick, so the victim choice falls
-  // through to the cost-aware tie-break: largest footprint goes first.
-  // Prewarm inserts targets in sorted name order — (sat_small, sat_wide,
-  // zbase) here — and the budget is one byte short of the total, so exactly
-  // one eviction fires while inserting `zbase`, and its victim must be the
-  // wide entry even though the small one is equally recent.
-  DataLake lake = LakeOf({KeyTable("sat_small", 16, 4),
-                          KeyTable("sat_wide", 200, 32),
-                          KeyTable("zbase", 8, 4)});
-  lake.AddKfk({"zbase", "k", "sat_small", "k"});
-  lake.AddKfk({"zbase", "k", "sat_wide", "k"});
-  const size_t small = IndexEntryBytes(lake, "sat_small");
-  const size_t wide = IndexEntryBytes(lake, "sat_wide");
-  const size_t base = IndexEntryBytes(lake, "zbase");
-  ASSERT_LT(small, wide);
-  ASSERT_LT(base, wide);
-
-  auto drg = BuildDrgFromKfk(lake);
-  drg.status().Abort();
-  obs::MetricsRegistry registry;
-  JoinIndexCache cache(&lake, 7, &registry, nullptr,
-                       /*budget_bytes=*/small + wide + base - 1);
-  cache.Prewarm(*drg);
-  EXPECT_EQ(cache.num_resident(), 2u);
-  EXPECT_EQ(cache.resident_bytes(), small + base);
-  EXPECT_EQ(Counter(registry, "join_index_cache.evictions"), 1);
-
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 0);
-  cache.GetOrBuild("sat_small", "k").status().Abort();
-  cache.GetOrBuild("zbase", "k").status().Abort();
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 0);
-  cache.GetOrBuild("sat_wide", "k").status().Abort();
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 1);
-}
-
-TEST(JoinIndexCacheEvictionTest, BudgetIsNeverExceeded) {
-  DataLake lake = LakeOf({KeyTable("a", 30, 6), KeyTable("b", 60, 10),
-                          KeyTable("c", 90, 14), KeyTable("d", 120, 18),
-                          KeyTable("e", 15, 4)});
-  const size_t largest = IndexEntryBytes(lake, "d");
-  const size_t budget = largest + largest / 2;
-
-  obs::MetricsRegistry registry;
-  JoinIndexCache cache(&lake, 7, &registry, nullptr, budget);
-  const char* names[] = {"a", "b", "c", "d", "e"};
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 5; ++i) {
-      const char* t = names[(i * 3 + round) % 5];
-      auto pin = cache.GetOrBuild(t, "k");
-      pin.status().Abort();
-      EXPECT_LE(cache.resident_bytes(), budget);
-      EXPECT_LE(registry.GaugeValue("join_index_cache.bytes"),
-                static_cast<int64_t>(budget));
-    }
-    if (round == 1) cache.EvictRandomHalf(round);
-    if (round == 2) cache.EvictAll();
-  }
-  // The peak gauge — the high-water mark across the whole run — must also
-  // respect the budget: eviction happens before an insertion overflows.
-  EXPECT_LE(registry.GaugeValue("join_index_cache.bytes_peak"),
-            static_cast<int64_t>(budget));
-  EXPECT_GT(registry.GaugeValue("join_index_cache.bytes_peak"), 0);
-}
-
-TEST(JoinIndexCacheEvictionTest, OversizedEntryStaysPinOnly) {
-  DataLake lake = LakeOf({KeyTable("big", 100, 24)});
-  const size_t entry = IndexEntryBytes(lake, "big");
-  obs::MetricsRegistry registry;
-  JoinIndexCache cache(&lake, 7, &registry, nullptr,
-                       /*budget_bytes=*/entry / 2);
-  auto pin = cache.GetOrBuild("big", "k");
-  pin.status().Abort();
-  EXPECT_EQ((*pin)->num_distinct_keys(), 100u);
-  // The entry is handed to the caller but never becomes resident, so the
-  // byte gauges stay within the (too-small) budget.
-  EXPECT_EQ(cache.num_resident(), 0u);
-  EXPECT_EQ(cache.resident_bytes(), 0u);
-  EXPECT_EQ(registry.GaugeValue("join_index_cache.bytes"), 0);
-  EXPECT_EQ(registry.GaugeValue("join_index_cache.bytes_peak"), 0);
-}
-
 TEST(JoinIndexCacheEvictionTest, RebuildReproducesTheIdenticalEntry) {
   DataLake lake = LakeOf({KeyTable("a", 64, 8)});
   // Duplicate some keys so the representative draws actually consume the
@@ -213,7 +360,8 @@ TEST(JoinIndexCacheEvictionTest, RebuildReproducesTheIdenticalEntry) {
   dup.AddColumn("v", Column::Doubles({1, 2, 3, 4, 5, 6})).Abort();
   lake.AddTable(std::move(dup)).Abort();
 
-  JoinIndexCache cache(&lake, /*seed=*/42);
+  obs::MetricsRegistry registry;
+  JoinIndexCache cache(&lake, /*seed=*/42, &registry);
   auto first = cache.GetOrBuild("dup", "k");
   first.status().Abort();
   const std::vector<uint32_t> reps = (*first)->representative;
@@ -223,51 +371,16 @@ TEST(JoinIndexCacheEvictionTest, RebuildReproducesTheIdenticalEntry) {
   rebuilt.status().Abort();
   EXPECT_NE(first->get(), rebuilt->get());
   EXPECT_EQ((*rebuilt)->representative, reps);
-  // And a fresh cache with the same seed builds the same entry too.
-  JoinIndexCache other(&lake, /*seed=*/42);
-  auto independent = other.GetOrBuild("dup", "k");
-  independent.status().Abort();
-  EXPECT_EQ((*independent)->representative, reps);
+  // Rebuilds are neither builds nor new key-cardinality samples.
+  EXPECT_EQ(registry.CounterValue("join_index_cache.builds"), 1u);
+  EXPECT_EQ(registry.CounterValue("join_index_cache.rebuilds"), 1u);
+  EXPECT_EQ(registry.HistogramCount("join_index_cache.key_cardinality"), 1u);
 }
 
-TEST(JoinIndexCacheEvictionTest, PinOutlivesEviction) {
-  DataLake lake = LakeOf({KeyTable("a", 32, 8)});
-  JoinIndexCache cache(&lake, 7);
-  auto pin = cache.GetOrBuild("a", "k");
-  pin.status().Abort();
-  cache.EvictAll();
-  EXPECT_EQ(cache.num_resident(), 0u);
-  // The pin keeps the evicted index alive and usable (ASan checks this).
-  EXPECT_EQ((*pin)->num_distinct_keys(), 32u);
-  EXPECT_GT((*pin)->ApproxBytes(), 0u);
-}
-
-TEST(JoinIndexCacheEvictionTest, EvictRandomHalfIsDeterministic) {
-  DataLake lake = LakeOf({KeyTable("a", 10, 4), KeyTable("b", 10, 4),
-                          KeyTable("c", 10, 4), KeyTable("d", 10, 4),
-                          KeyTable("e", 10, 4), KeyTable("f", 10, 4)});
-  auto populate = [&lake](JoinIndexCache* cache) {
-    for (const char* t : {"a", "b", "c", "d", "e", "f"}) {
-      cache->GetOrBuild(t, "k").status().Abort();
-    }
-  };
-  // Same draw, same resident survivors.
-  JoinIndexCache c1(&lake, 7), c2(&lake, 7), c3(&lake, 7);
-  populate(&c1);
-  populate(&c2);
-  populate(&c3);
-  c1.EvictRandomHalf(0xABCDEF);
-  c2.EvictRandomHalf(0xABCDEF);
-  EXPECT_EQ(c1.num_resident(), c2.num_resident());
-  // A draw and its bit-flipped complement evict complementary halves.
-  c3.EvictRandomHalf(0xABCDEF ^ 1);
-  EXPECT_EQ(c1.num_resident() + c3.num_resident(), 6u);
-}
-
-// Satellite 4: metrics-as-assertion accounting audit. After Prewarm over a
-// generated lake, the bytes gauge, the cache's own resident_bytes() and the
-// sum of the per-entry ApproxBytes must all agree exactly, and the lake
-// footprint is the sum of the tables' ApproxBytes.
+// Metrics-as-assertion accounting audit. After Prewarm over a generated
+// lake, the bytes gauge, the cache's own resident_bytes() and the per-entry
+// ApproxBytes must agree, and the lake footprint is the sum of the tables'
+// ApproxBytes.
 TEST(JoinIndexCacheEvictionTest, PrewarmAccountingAudit) {
   datagen::LakeSpec spec;
   spec.rows = 200;
@@ -286,7 +399,7 @@ TEST(JoinIndexCacheEvictionTest, PrewarmAccountingAudit) {
 
   // Re-requesting every prewarmed target must be a pure hit (no rebuilds)
   // and lets us sum the independent per-entry footprints.
-  const int64_t builds = Counter(registry, "join_index_cache.builds");
+  const uint64_t builds = registry.CounterValue("join_index_cache.builds");
   size_t pinned_bytes = 0;
   for (size_t node = 0; node < (*drg).num_nodes(); ++node) {
     for (size_t neighbor : (*drg).Neighbors(node)) {
@@ -298,92 +411,43 @@ TEST(JoinIndexCacheEvictionTest, PrewarmAccountingAudit) {
       }
     }
   }
-  EXPECT_EQ(Counter(registry, "join_index_cache.builds"), builds);
-  EXPECT_EQ(Counter(registry, "join_index_cache.rebuilds"), 0);
-  // Some (to_node, to_column) targets repeat across edge orientations;
-  // dedupe by accepting pinned_bytes as an upper multiple — but the gauge
-  // itself must equal resident_bytes exactly.
+  EXPECT_EQ(registry.CounterValue("join_index_cache.builds"), builds);
+  EXPECT_EQ(registry.CounterValue("join_index_cache.rebuilds"), 0u);
+  // Some (to_node, to_column) targets repeat across edge orientations, so
+  // pinned_bytes may count an entry twice — but the gauge itself must equal
+  // resident_bytes exactly.
   EXPECT_EQ(registry.GaugeValue("join_index_cache.bytes"),
             static_cast<int64_t>(cache.resident_bytes()));
   EXPECT_GE(pinned_bytes, cache.resident_bytes());
 
-  // Lake accounting: the per-table footprints sum to the lake footprint
-  // reported by the CLI's lake.bytes gauge.
   size_t lake_bytes = 0;
   for (const Table& table : built.lake.tables()) {
     lake_bytes += table.ApproxBytes();
   }
-  EXPECT_GT(lake_bytes, 0u);
   EXPECT_GT(lake_bytes, cache.resident_bytes());
 }
 
-TEST(JoinIndexCacheEvictionTest, ConcurrentHitsEvictionsAndRebuilds) {
-  DataLake lake = LakeOf({KeyTable("a", 40, 8), KeyTable("b", 70, 12),
-                          KeyTable("c", 100, 16), KeyTable("d", 25, 6)});
-  const size_t expected[] = {40, 70, 100, 25};
-  const char* names[] = {"a", "b", "c", "d"};
-  const size_t budget = IndexEntryBytes(lake, "c") + IndexEntryBytes(lake, "b");
-
-  obs::MetricsRegistry registry;
-  JoinIndexCache cache(&lake, 7, &registry, nullptr, budget);
-  ThreadPool pool(8);
-  std::atomic<int> failures{0};
-  ParallelFor(&pool, 0, 512, /*grain=*/1, [&](size_t i) {
-    if (i % 13 == 0) {
-      cache.EvictAll();
-      return;
-    }
-    if (i % 7 == 0) {
-      cache.EvictRandomHalf(i);
-      return;
-    }
-    const size_t t = i % 4;
-    auto pin = cache.GetOrBuild(names[t], "k");
-    if (!pin.ok() || (*pin)->num_distinct_keys() != expected[t]) {
-      failures.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_LE(cache.resident_bytes(), budget);
-  EXPECT_LE(registry.GaugeValue("join_index_cache.bytes_peak"),
-            static_cast<int64_t>(budget));
-}
-
-// ---------------------------------------------------------------------------
-// LakeSketchCache
-// ---------------------------------------------------------------------------
-
-TEST(LakeSketchCacheEvictionTest, BudgetEvictionAndRebuild) {
+TEST(LakeSketchCacheEvictionTest, RebuildReproducesIdenticalSketches) {
   DataLake lake = LakeOf({KeyTable("a", 30, 6), KeyTable("b", 60, 10),
                           KeyTable("c", 90, 14), KeyTable("d", 45, 8)});
-  const size_t largest = SketchEntryBytes(lake, 2);
-  const size_t budget = largest + largest / 2;
-
   obs::MetricsRegistry registry;
-  LakeSketchCache cache(&lake, /*max_sample=*/64, &registry, budget);
+  LakeSketchCache cache(&lake, /*max_sample=*/64, &registry);
   std::vector<LakeSketchCache::TableSketchesPin> first(4);
-  for (int round = 0; round < 3; ++round) {
-    for (size_t t = 0; t < 4; ++t) {
-      LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
-      ASSERT_NE(pin, nullptr);
-      ASSERT_EQ(pin->size(), 2u);  // "k" and "v"
-      EXPECT_LE(cache.resident_bytes(), budget);
-      if (round == 0) {
-        first[t] = pin;
-      } else {
-        // Rebuilt-after-eviction sketches are value-identical to the
-        // originals (same sampled sets, same distinct counts).
-        for (size_t col = 0; col < 2; ++col) {
-          EXPECT_EQ((*pin)[col].values, (*first[t])[col].values);
-          EXPECT_EQ((*pin)[col].num_distinct, (*first[t])[col].num_distinct);
-        }
-      }
+  for (size_t t = 0; t < 4; ++t) first[t] = cache.GetOrBuild(t);
+  cache.EvictAll();
+  EXPECT_EQ(cache.num_resident(), 0u);
+  for (size_t t = 0; t < 4; ++t) {
+    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
+    ASSERT_EQ(pin->size(), 2u);  // "k" and "v"
+    EXPECT_NE(pin.get(), first[t].get());
+    for (size_t col = 0; col < 2; ++col) {
+      EXPECT_EQ((*pin)[col].values, (*first[t])[col].values);
+      EXPECT_EQ((*pin)[col].num_distinct, (*first[t])[col].num_distinct);
     }
   }
-  EXPECT_GT(Counter(registry, "sketch_cache.evictions"), 0);
-  EXPECT_GT(Counter(registry, "sketch_cache.rebuilds"), 0);
-  EXPECT_LE(registry.GaugeValue("sketch_cache.bytes_peak"),
-            static_cast<int64_t>(budget));
+  // Builds and rebuilds count sketched columns.
+  EXPECT_EQ(registry.CounterValue("sketch_cache.builds"), 8u);
+  EXPECT_EQ(registry.CounterValue("sketch_cache.rebuilds"), 8u);
 }
 
 TEST(LakeSketchCacheEvictionTest, PrewarmAccountingAudit) {
@@ -406,61 +470,6 @@ TEST(LakeSketchCacheEvictionTest, PrewarmAccountingAudit) {
             static_cast<int64_t>(pinned_bytes));
   EXPECT_EQ(registry.GaugeValue("sketch_cache.bytes_peak"),
             static_cast<int64_t>(pinned_bytes));
-}
-
-TEST(LakeSketchCacheEvictionTest, EvictAllKeepsPinsValidAndRebuilds) {
-  DataLake lake = LakeOf({KeyTable("a", 20, 6), KeyTable("b", 20, 6)});
-  LakeSketchCache cache(&lake, /*max_sample=*/32);
-  LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(0);
-  cache.EvictAll();
-  EXPECT_EQ(cache.num_resident(), 0u);
-  EXPECT_EQ(cache.resident_bytes(), 0u);
-  // The pin still reads the evicted entry; the compat accessor transparently
-  // rebuilds and serves identical content.
-  ASSERT_EQ(pin->size(), 2u);
-  const std::vector<ColumnSketch>& again = cache.table_sketches(0);
-  ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(again[0].values, (*pin)[0].values);
-  EXPECT_EQ(again[0].num_distinct, (*pin)[0].num_distinct);
-  EXPECT_EQ(cache.num_resident(), 1u);
-}
-
-TEST(LakeSketchCacheEvictionTest, OversizedEntryStaysPinOnly) {
-  DataLake lake = LakeOf({KeyTable("big", 120, 24)});
-  const size_t entry = SketchEntryBytes(lake, 0);
-  obs::MetricsRegistry registry;
-  LakeSketchCache cache(&lake, /*max_sample=*/64, &registry,
-                        /*budget_bytes=*/entry / 2);
-  LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(0);
-  ASSERT_NE(pin, nullptr);
-  EXPECT_EQ((*pin)[0].num_distinct, 120u);
-  EXPECT_EQ(cache.num_resident(), 0u);
-  EXPECT_EQ(registry.GaugeValue("sketch_cache.bytes"), 0);
-  EXPECT_EQ(registry.GaugeValue("sketch_cache.bytes_peak"), 0);
-}
-
-TEST(LakeSketchCacheEvictionTest, ConcurrentStressUnderBudget) {
-  DataLake lake = LakeOf({KeyTable("a", 30, 6), KeyTable("b", 60, 10),
-                          KeyTable("c", 90, 14), KeyTable("d", 45, 8)});
-  const size_t budget = SketchEntryBytes(lake, 2) + SketchEntryBytes(lake, 1);
-  obs::MetricsRegistry registry;
-  LakeSketchCache cache(&lake, /*max_sample=*/64, &registry, budget);
-  ThreadPool pool(8);
-  std::atomic<int> failures{0};
-  ParallelFor(&pool, 0, 512, /*grain=*/1, [&](size_t i) {
-    if (i % 11 == 0) {
-      cache.EvictAll();
-      return;
-    }
-    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(i % 4);
-    if (pin == nullptr || pin->size() != 2) {
-      failures.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_LE(cache.resident_bytes(), budget);
-  EXPECT_LE(registry.GaugeValue("sketch_cache.bytes_peak"),
-            static_cast<int64_t>(budget));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include "relational/join.h"
 #include "support/join_differential.h"
 #include "support/lake_fixtures.h"
-#include "util/thread_pool.h"
 
 namespace autofeat {
 namespace {
@@ -211,18 +209,6 @@ TEST(ResolveAppendedNamesTest, MatchesJoinNaming) {
 
 DataLake MakeLake() { return testsupport::MakeOrdersCustomersLake(); }
 
-TEST(JoinIndexCacheTest, BuildsOnceAndReturnsStablePointer) {
-  DataLake lake = MakeLake();
-  JoinIndexCache cache(&lake, 11);
-  auto a = cache.GetOrBuild("orders", "cust");
-  ASSERT_TRUE(a.ok());
-  auto b = cache.GetOrBuild("orders", "cust");
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);  // same entry, not a rebuild
-  EXPECT_EQ(cache.num_entries(), 1u);
-  EXPECT_EQ((*a)->num_distinct_keys(), 3u);
-}
-
 TEST(JoinIndexCacheTest, MissingTableOrColumnFails) {
   DataLake lake = MakeLake();
   JoinIndexCache cache(&lake, 11);
@@ -241,26 +227,6 @@ TEST(JoinIndexCacheTest, SameSeedCachesAreInterchangeable) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ((*a)->representative, (*b)->representative);
-}
-
-TEST(JoinIndexCacheTest, ConcurrentGetOrBuildIsSafeAndConsistent) {
-  DataLake lake = MakeLake();
-  JoinIndexCache cache(&lake, 5);
-  ThreadPool pool(8);
-  std::vector<JoinIndexCache::IndexPin> seen(64);
-  ParallelFor(&pool, 0, seen.size(), 1, [&](size_t i) {
-    const char* table = (i % 2 == 0) ? "orders" : "customers";
-    auto r = cache.GetOrBuild(table, "cust");
-    if (r.ok()) seen[i] = *r;
-  });
-  EXPECT_EQ(cache.num_entries(), 2u);
-  std::unordered_set<const JoinKeyIndex*> distinct;
-  for (const auto& pin : seen) distinct.insert(pin.get());
-  distinct.erase(nullptr);
-  // Every thread observed one of exactly two built entries (unbudgeted:
-  // nothing evicts, so concurrent requests all pin the same two indexes).
-  EXPECT_EQ(distinct.size(), 2u);
-  for (const auto& pin : seen) EXPECT_NE(pin, nullptr);
 }
 
 }  // namespace

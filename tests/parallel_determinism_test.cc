@@ -88,31 +88,24 @@ TEST(ParallelDeterminismTest, DiscoverFeaturesMatchesAcrossThreadCounts) {
   auto drg = BuildDrgFromKfk(built.lake);
   ASSERT_TRUE(drg.ok());
 
-  // Both loop runtimes at every thread count must agree with the
-  // single-threaded morsel run down to the last bit.
+  // Every thread count must agree with the single-threaded run down to the
+  // last bit.
   std::string expected;
-  bool have_expected = false;
-  for (SchedulerKind scheduler :
-       {SchedulerKind::kMorsel, SchedulerKind::kForkJoin}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      AutoFeatConfig config;
-      config.sample_rows = 200;
-      config.num_threads = threads;
-      config.scheduler = scheduler;
-      AutoFeat engine(&built.lake, &*drg, config);
-      auto result =
-          engine.DiscoverFeatures(built.base_table, built.label_column);
-      ASSERT_TRUE(result.ok());
-      EXPECT_GT(result->ranked.size(), 0u);
-      std::string fingerprint = RankedFingerprint(*result);
-      if (!have_expected) {
-        expected = fingerprint;
-        have_expected = true;
-      } else {
-        EXPECT_EQ(fingerprint, expected)
-            << "ranked paths diverged at " << threads << " threads with the "
-            << SchedulerKindName(scheduler) << " scheduler";
-      }
+  for (size_t threads : {1u, 2u, 8u}) {
+    AutoFeatConfig config;
+    config.sample_rows = 200;
+    config.num_threads = threads;
+    AutoFeat engine(&built.lake, &*drg, config);
+    auto result =
+        engine.DiscoverFeatures(built.base_table, built.label_column);
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(result->ranked.size(), 0u);
+    std::string fingerprint = RankedFingerprint(*result);
+    if (threads == 1) {
+      expected = fingerprint;
+    } else {
+      EXPECT_EQ(fingerprint, expected)
+          << "ranked paths diverged at " << threads << " threads";
     }
   }
 }
@@ -160,18 +153,14 @@ TEST(ParallelDeterminismTest, CrossValidationMatchesAcrossThreadCounts) {
                                     ml::ModelKind::kKnn, sequential);
   ASSERT_TRUE(expected.ok());
 
-  for (SchedulerKind scheduler :
-       {SchedulerKind::kMorsel, SchedulerKind::kForkJoin}) {
-    ml::CrossValidationOptions parallel = sequential;
-    parallel.num_threads = 4;
-    parallel.scheduler = scheduler;
-    auto got = ml::CrossValidate(**base, built.label_column,
-                                 ml::ModelKind::kKnn, parallel);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->fold_accuracies, expected->fold_accuracies);
-    EXPECT_EQ(got->fold_aucs, expected->fold_aucs);
-    EXPECT_EQ(got->mean_accuracy, expected->mean_accuracy);
-  }
+  ml::CrossValidationOptions parallel = sequential;
+  parallel.num_threads = 4;
+  auto got = ml::CrossValidate(**base, built.label_column,
+                               ml::ModelKind::kKnn, parallel);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->fold_accuracies, expected->fold_accuracies);
+  EXPECT_EQ(got->fold_aucs, expected->fold_aucs);
+  EXPECT_EQ(got->mean_accuracy, expected->mean_accuracy);
 }
 
 }  // namespace

@@ -282,31 +282,70 @@ TEST(LakeServiceObsTest, ReplayedSequencesGiveByteIdenticalObservability) {
   EXPECT_EQ(lineage1, lineage8);
 }
 
-TEST(LakeServiceObsTest, QueryDigestIsInvariantAcrossThreadsAndSchedulers) {
+TEST(LakeServiceObsTest, QueryDigestIsInvariantAcrossThreadCounts) {
   // A query's deterministic obs digest is a pure function of the snapshot
-  // state: identical across thread counts and both schedulers.
+  // state: identical across thread counts.
   std::vector<std::string> digests;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (SchedulerKind scheduler :
-         {SchedulerKind::kForkJoin, SchedulerKind::kMorsel}) {
-      ServeOptions options;
-      options.config.num_threads = threads;
-      options.config.scheduler = scheduler;
-      std::unique_ptr<LakeService> service =
-          MakeService(testsupport::MakeOrdersCustomersLake(), options);
-      ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 0)).ok());
-      obs::MetricsRegistry query_metrics;
-      obs::Tracer query_tracer;
-      ASSERT_TRUE(service
-                      ->Discover("orders", "amount",
-                                 &query_metrics, &query_tracer)
-                      .ok());
-      digests.push_back(
-          obs::DeterministicDigest(query_metrics, &query_tracer));
-    }
+    ServeOptions options;
+    options.config.num_threads = threads;
+    std::unique_ptr<LakeService> service =
+        MakeService(testsupport::MakeOrdersCustomersLake(), options);
+    ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 0)).ok());
+    obs::MetricsRegistry query_metrics;
+    obs::Tracer query_tracer;
+    ASSERT_TRUE(service
+                    ->Discover("orders", "amount",
+                               &query_metrics, &query_tracer)
+                    .ok());
+    digests.push_back(
+        obs::DeterministicDigest(query_metrics, &query_tracer));
   }
   for (const std::string& digest : digests) {
     EXPECT_EQ(digest, digests.front());
+  }
+}
+
+TEST(LakeServiceObsTest, CacheByteGaugesTrackTheLiveSnapshot) {
+  // Every mutation publishes new caches that carry the untouched entries;
+  // the retired snapshot's caches return their bytes when they die. With no
+  // old snapshot pinned, the gauges read exactly the current caches.
+  obs::MetricsRegistry metrics;
+  Result<std::unique_ptr<LakeService>> service = LakeService::Create(
+      testsupport::MakeOrdersCustomersLake(), ServeOptions{}, &metrics);
+  ASSERT_TRUE(service.ok()) << service.status().message();
+  ASSERT_TRUE((*service)->Discover("orders", "amount").ok());
+  for (int m = 0; m < 20; ++m) {
+    Result<uint64_t> epoch =
+        m % 2 == 0 ? (*service)->AddTable(MakeCustSatellite("regions", m))
+                   : (*service)->DropTable("regions");
+    ASSERT_TRUE(epoch.ok()) << epoch.status().message();
+  }
+  LakeService::SnapshotPin snap = (*service)->snapshot();
+  ASSERT_GT(snap->sketch_cache->resident_bytes(), 0u);
+  ASSERT_GT(snap->join_cache->resident_bytes(), 0u);
+  EXPECT_EQ(metrics.GaugeValue("sketch_cache.bytes"),
+            static_cast<int64_t>(snap->sketch_cache->resident_bytes()));
+  EXPECT_EQ(metrics.GaugeValue("join_index_cache.bytes"),
+            static_cast<int64_t>(snap->join_cache->resident_bytes()));
+}
+
+TEST(LakeServiceObsTest, SketchCacheEvictAllIsLogged) {
+  obs::EventLog events;
+  Result<std::unique_ptr<LakeService>> service = LakeService::Create(
+      testsupport::MakeOrdersCustomersLake(), ServeOptions{},
+      /*metrics=*/nullptr, /*tracer=*/nullptr, &events);
+  ASSERT_TRUE(service.ok()) << service.status().message();
+  const size_t before = events.size();
+  (*service)->snapshot()->sketch_cache->EvictAll();
+  EXPECT_EQ(events.size(), before + 2);  // one per table
+  const std::string log = events.Jsonl(false);
+  for (const char* table : {"orders", "customers"}) {
+    EXPECT_NE(log.find(std::string("\"type\": \"cache_evict\", \"cache\": "
+                                   "\"sketch\", \"table\": \"") +
+                       table + "\""),
+              std::string::npos)
+        << log;
   }
 }
 

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -43,19 +43,44 @@ TEST(ParallelForTest, EmptyRangeIsANoOp) {
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, 0, hits.size(), 7,
-              [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+  // Odd ranges x grains (0 behaves like 1; some exceed the range) x pool
+  // widths, including more lanes than chunks, each over a shifted range so
+  // a non-zero begin is covered too.
+  for (size_t threads : {1, 2, 3, 5}) {
+    ThreadPool pool(threads);
+    for (size_t range : {1, 2, 7, 64, 97, 1000}) {
+      for (size_t grain : {0, 1, 3, 7, 64, 2000}) {
+        for (size_t begin : {0, 17}) {
+          std::vector<std::atomic<int>> hits(begin + range);
+          ParallelFor(&pool, begin, begin + range, grain,
+                      [&](size_t i) { hits[i].fetch_add(1); });
+          for (size_t i = 0; i < hits.size(); ++i) {
+            ASSERT_EQ(i >= begin ? 1 : 0, hits[i].load())
+                << "threads=" << threads << " range=" << range
+                << " grain=" << grain << " begin=" << begin << " i=" << i;
+          }
+        }
+      }
+    }
+  }
 }
 
-TEST(ParallelForTest, GrainLargerThanRangeRunsInline) {
-  ThreadPool pool(2);
-  std::vector<int> out(5, 0);
-  // range <= grain falls back to the caller thread; still covers all.
-  ParallelFor(&pool, 0, out.size(), 100, [&](size_t i) { out[i] = 1; });
-  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 5);
+TEST(ParallelForTest, BackToBackCallsFromSeveralThreads) {
+  // A call may return only after its helpers stopped touching the call's
+  // stack state: back-to-back calls from several threads reuse that stack
+  // at once, so a late helper would lock a dead mutex.
+  ThreadPool pool(3);
+  std::atomic<int> sum{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 2000; ++round) {
+        ParallelFor(&pool, 0, 4, 1, [&](size_t) { sum.fetch_add(1); });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(sum.load(), 3 * 2000 * 4);
 }
 
 TEST(ParallelForTest, NullPoolRunsInlineInOrder) {

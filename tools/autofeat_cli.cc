@@ -44,7 +44,6 @@ struct CliOptions {
   std::string trace_output;
   std::string model = "lightgbm";
   std::string drg_matcher = "all_pairs";
-  std::string scheduler = "morsel";
   std::string lake_format = "csv";
   /// Lake-wide cache budget in MiB (0 = unbounded).
   size_t memory_budget_mb = 0;
@@ -69,7 +68,6 @@ void PrintUsage() {
       "                    [--model lightgbm|rf|extratrees|xgboost|knn|logreg]\n"
       "                    [--threshold F] [--threads N] [--tune]\n"
       "                    [--drg-matcher all_pairs|lsh] [--lsh-rescue N]\n"
-      "                    [--scheduler forkjoin|morsel]\n"
       "                    [--lake-format csv|columnar] [--memory-budget-mb N]\n"
       "                    [--describe] [--output FILE.csv] [--dot FILE.dot]\n"
       "                    [--metrics-out FILE.json] [--trace-out FILE.json]\n"
@@ -85,11 +83,6 @@ void PrintUsage() {
       "  --threads N   worker threads for discovery + evaluation\n"
       "                (0 = all hardware threads, 1 = sequential; results\n"
       "                are identical at any thread count)\n"
-      "  --scheduler forkjoin|morsel\n"
-      "                parallel-loop runtime: morsel (default) deals\n"
-      "                fixed-size morsels across per-worker work-stealing\n"
-      "                deques; forkjoin is the shared-cursor loop. Results\n"
-      "                (and the metrics digest) are identical under both\n"
       "  --drg-matcher all_pairs|lsh\n"
       "                candidate generation for DRG discovery: all_pairs\n"
       "                scores every table pair (exhaustive, O(n^2));\n"
@@ -159,10 +152,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       if (!v) return false;
       options->drg_matcher = v;
-    } else if (arg == "--scheduler") {
-      const char* v = next();
-      if (!v) return false;
-      options->scheduler = v;
     } else if (arg == "--lake-format") {
       const char* v = next();
       if (!v) return false;
@@ -293,13 +282,6 @@ int main(int argc, char** argv) {
   if (options.lsh_rescue >= 0) {
     match.lsh.small_column_rescue = static_cast<size_t>(options.lsh_rescue);
   }
-  auto scheduler_parse = ParseScheduler(options.scheduler);
-  if (!scheduler_parse.ok()) {
-    std::fprintf(stderr, "--scheduler: %s\n",
-                 scheduler_parse.status().message().c_str());
-    return 2;
-  }
-  SchedulerKind scheduler = *scheduler_parse;
   std::unique_ptr<ThreadPool> pool;
   if (ResolveNumThreads(options.threads) > 1) {
     pool = std::make_unique<ThreadPool>(options.threads);
@@ -333,7 +315,6 @@ int main(int argc, char** argv) {
   config.top_k_paths = options.top_k;
   config.max_hops = options.max_hops;
   config.num_threads = options.threads;
-  config.scheduler = scheduler;
   config.memory_budget_bytes = budget_bytes;
   if (metrics != nullptr) {
     config.metrics_enabled = true;

@@ -10,7 +10,7 @@
 // Usage:
 //   autofeat_serve_cli --lake DIR [--lake-format csv|columnar]
 //                      [--drg-matcher all_pairs|lsh] [--threshold F]
-//                      [--threads N] [--scheduler forkjoin|morsel]
+//                      [--threads N]
 //                      [--memory-budget-mb N] [--script FILE]
 //                      [--metrics-out FILE.json] [--trace-out FILE.json]
 //                      [--event-log FILE.jsonl] [--metrics-text FILE]
@@ -61,7 +61,6 @@
 #include "obs/trace.h"
 #include "serve/lake_service.h"
 #include "table/csv.h"
-#include "util/scheduler.h"
 
 namespace {
 
@@ -71,7 +70,6 @@ struct CliOptions {
   std::string lake_dir;
   std::string lake_format = "csv";
   std::string drg_matcher = "lsh";
-  std::string scheduler = "morsel";
   std::string script;
   std::string metrics_output;
   std::string trace_output;
@@ -89,7 +87,6 @@ void PrintUsage() {
       "usage: autofeat_serve_cli --lake DIR [--lake-format csv|columnar]\n"
       "                          [--drg-matcher all_pairs|lsh]\n"
       "                          [--threshold F] [--threads N]\n"
-      "                          [--scheduler forkjoin|morsel]\n"
       "                          [--memory-budget-mb N] [--script FILE]\n"
       "                          [--metrics-out FILE.json]\n"
       "                          [--trace-out FILE.json]\n"
@@ -124,10 +121,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       if (!v) return false;
       options->drg_matcher = v;
-    } else if (arg == "--scheduler") {
-      const char* v = next();
-      if (!v) return false;
-      options->scheduler = v;
     } else if (arg == "--script") {
       const char* v = next();
       if (!v) return false;
@@ -386,12 +379,6 @@ int main(int argc, char** argv) {
                  format.status().message().c_str());
     return 2;
   }
-  auto scheduler = ParseScheduler(options.scheduler);
-  if (!scheduler.ok()) {
-    std::fprintf(stderr, "--scheduler: %s\n",
-                 scheduler.status().message().c_str());
-    return 2;
-  }
 
   serve::ServeOptions serve_options;
   serve_options.match.threshold = options.threshold;
@@ -406,7 +393,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   serve_options.config.num_threads = options.threads;
-  serve_options.config.scheduler = *scheduler;
   serve_options.config.memory_budget_bytes =
       serve_options.match.memory_budget_bytes;
   serve_options.slow_query_threshold_ns =

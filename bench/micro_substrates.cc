@@ -1,12 +1,20 @@
 // Microbenchmarks of the substrate hot paths (google-benchmark):
-// hash left join, cardinality normalisation, Spearman, corrected MI,
-// GBDT training, DRG path enumeration, schema matching.
+// hash left join, cardinality normalisation, Spearman, candidate scoring
+// (feature view + Spearman relevance), corrected MI, GBDT training, DRG path
+// enumeration, schema matching.
 
 #include <benchmark/benchmark.h>
+
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "datagen/generator.h"
 #include "datagen/lake_builder.h"
 #include "discovery/schema_matcher.h"
+#include "fs/feature_view.h"
+#include "fs/relevance.h"
 #include "graph/drg.h"
 #include "ml/gbdt.h"
 #include "relational/join.h"
@@ -82,6 +90,39 @@ void BM_Spearman(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Spearman)->Arg(1000)->Arg(10000);
+
+// One BFS candidate's relevance stage: FeatureView::FromColumns over its
+// gathered columns (sort, discretise) plus Spearman ScoreRelevance against
+// a label block shared by every candidate of a discovery.
+void BM_CandidateScoring(benchmark::State& state) {
+  constexpr size_t kRows = 2000;
+  constexpr size_t kFeatures = 5;
+  Rng rng(8);
+  std::vector<double> label(kRows);
+  for (auto& v : label) v = static_cast<double>(rng.UniformIndex(2));
+  std::shared_ptr<const LabelBlock> block = LabelBlock::Build(label);
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> columns;
+  for (size_t f = 0; f < kFeatures; ++f) {
+    names.push_back("f" + std::to_string(f));
+    std::vector<double> values(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      // A tenth unmatched (NaN), as a left join leaves them.
+      values[i] = rng.Uniform() < 0.1 ? std::numeric_limits<double>::quiet_NaN()
+                                      : label[i] + rng.Normal(0, 1 + f);
+    }
+    columns.push_back(std::move(values));
+  }
+  RelevanceOptions options;
+  options.kind = RelevanceKind::kSpearman;
+  for (auto _ : state) {
+    auto view = FeatureView::FromColumns(names, columns, block);
+    benchmark::DoNotOptimize(ScoreRelevance(*view, {}, options));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows * kFeatures));
+}
+BENCHMARK(BM_CandidateScoring);
 
 void BM_MutualInformationCorrected(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

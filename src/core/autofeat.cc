@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -95,17 +96,15 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
   StreamingFeatureSelector selector(MakeSelectorOptions(config_));
   double fs_seconds = 0.0;
   // Left joins preserve the base rows in order, so every candidate's view
-  // shares one label representation, prepared exactly once.
-  std::vector<double> label_numeric;
-  std::vector<int> label_codes;
+  // shares one label block (values, codes, sorted order), prepared once.
+  std::shared_ptr<const LabelBlock> label;
   {
     obs::ScopedSpan span(tracer_, "discover.seed_base_features");
     Timer t;
     AF_ASSIGN_OR_RETURN(FeatureView base_view,
                         FeatureView::FromTable(base_sampled, label_column));
     selector.SeedWithBaseFeatures(base_view);
-    label_numeric = base_view.label_numeric();
-    label_codes = base_view.label_codes();
+    label = base_view.label();
     fs_seconds += t.ElapsedSeconds();
   }
   obs::ScopedSpan bfs_span(tracer_, "discover.bfs");
@@ -313,8 +312,7 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
                   GatherNumeric(cand.right->column(col), map.right_rows));
             }
             auto view = FeatureView::FromColumns(ev.appended,
-                                                 std::move(numeric),
-                                                 label_numeric, label_codes);
+                                                 std::move(numeric), label);
             if (!view.ok()) {
               ev.status = view.status();
               return ev;

@@ -3,8 +3,48 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+
+#include "stats/discretize.h"
 
 namespace autofeat {
+
+namespace {
+
+// Fractional ranks of the rows in `order` (ascending by `values`) whose
+// `mask` entry is not NaN; every other row keeps a NaN rank. Ranks count
+// kept rows only, so masking by the other side of a pair needs no re-sort.
+// Ties are walked a group at a time and share the mean of their rank range,
+// which makes the result independent of the order within a group.
+std::vector<double> RanksFromOrder(const std::vector<double>& values,
+                                   const std::vector<uint32_t>& order,
+                                   const std::vector<double>& mask) {
+  std::vector<double> ranks(values.size(),
+                            std::numeric_limits<double>::quiet_NaN());
+  size_t pos = 0;  // Kept rows ranked so far.
+  size_t i = 0;
+  while (i < order.size()) {
+    size_t j = i + 1;
+    size_t kept = std::isnan(mask[order[i]]) ? 0 : 1;
+    while (j < order.size() && values[order[j]] == values[order[i]]) {
+      if (!std::isnan(mask[order[j]])) ++kept;
+      ++j;
+    }
+    if (kept > 0) {
+      // Average rank for the tie group's kept rows (1-based ranks).
+      double avg =
+          (static_cast<double>(pos + 1) + static_cast<double>(pos + kept)) / 2;
+      for (size_t k = i; k < j; ++k) {
+        if (!std::isnan(mask[order[k]])) ranks[order[k]] = avg;
+      }
+      pos += kept;
+    }
+    i = j;
+  }
+  return ranks;
+}
+
+}  // namespace
 
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y) {
@@ -12,7 +52,7 @@ double PearsonCorrelation(const std::vector<double>& x,
   double sx = 0, sy = 0;
   size_t n = 0;
   for (size_t i = 0; i < x.size(); ++i) {
-    if (std::isnan(x[i]) || std::isnan(y[i])) continue;
+    if (!std::isfinite(x[i]) || !std::isfinite(y[i])) continue;
     sx += x[i];
     sy += y[i];
     ++n;
@@ -22,7 +62,7 @@ double PearsonCorrelation(const std::vector<double>& x,
   double my = sy / static_cast<double>(n);
   double sxy = 0, sxx = 0, syy = 0;
   for (size_t i = 0; i < x.size(); ++i) {
-    if (std::isnan(x[i]) || std::isnan(y[i])) continue;
+    if (!std::isfinite(x[i]) || !std::isfinite(y[i])) continue;
     double dx = x[i] - mx;
     double dy = y[i] - my;
     sxy += dx * dy;
@@ -35,42 +75,22 @@ double PearsonCorrelation(const std::vector<double>& x,
 }
 
 std::vector<double> FractionalRanks(const std::vector<double>& values) {
-  std::vector<size_t> idx;
-  idx.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (!std::isnan(values[i])) idx.push_back(i);
-  }
-  std::sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-    return values[a] < values[b];
-  });
-
-  std::vector<double> ranks(values.size(),
-                            std::numeric_limits<double>::quiet_NaN());
-  size_t i = 0;
-  while (i < idx.size()) {
-    size_t j = i;
-    while (j + 1 < idx.size() && values[idx[j + 1]] == values[idx[i]]) ++j;
-    // Average rank for the tie group [i, j] (1-based ranks).
-    double avg = (static_cast<double>(i + 1) + static_cast<double>(j + 1)) / 2;
-    for (size_t k = i; k <= j; ++k) ranks[idx[k]] = avg;
-    i = j + 1;
-  }
-  return ranks;
+  return RanksFromOrder(values, SortedPresentRows(values), values);
 }
 
 double SpearmanCorrelation(const std::vector<double>& x,
                            const std::vector<double>& y) {
+  return SpearmanCorrelation(x, SortedPresentRows(x), y, SortedPresentRows(y));
+}
+
+double SpearmanCorrelation(const std::vector<double>& x,
+                           const std::vector<uint32_t>& x_order,
+                           const std::vector<double>& y,
+                           const std::vector<uint32_t>& y_order) {
   assert(x.size() == y.size());
   // Mask pairwise: rank only the complete pairs so ranks stay comparable.
-  std::vector<double> xm(x.size(), std::numeric_limits<double>::quiet_NaN());
-  std::vector<double> ym(y.size(), std::numeric_limits<double>::quiet_NaN());
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (!std::isnan(x[i]) && !std::isnan(y[i])) {
-      xm[i] = x[i];
-      ym[i] = y[i];
-    }
-  }
-  return PearsonCorrelation(FractionalRanks(xm), FractionalRanks(ym));
+  return PearsonCorrelation(RanksFromOrder(x, x_order, y),
+                            RanksFromOrder(y, y_order, x));
 }
 
 }  // namespace autofeat

@@ -38,6 +38,17 @@ TEST(PearsonTest, SkipsNanPairs) {
   EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
 }
 
+TEST(PearsonTest, InfiniteCellsCountAsMissing) {
+  // inf - inf = NaN would otherwise poison the sums, and std::clamp passes
+  // NaN through; ±inf rows are skipped like NaN rows instead.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> x{1, kInf, 2, 3, -kInf};
+  std::vector<double> y{2, 5, 4, 6, 1};
+  EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
+  EXPECT_DOUBLE_EQ(PearsonCorrelation(y, x), PearsonCorrelation(x, y));
+  EXPECT_DOUBLE_EQ(PearsonCorrelation({kInf, kInf, 1}, {1, 2, 3}), 0.0);
+}
+
 TEST(PearsonTest, KnownValue) {
   std::vector<double> x{1, 2, 3, 4, 5};
   std::vector<double> y{2, 1, 4, 3, 5};

@@ -2,6 +2,10 @@
 // lakes must produce clean Status errors (or graceful skips), never
 // crashes or silent corruption.
 
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "core/autofeat.h"
@@ -233,6 +237,55 @@ TEST(DegenerateDataTest, AllConstantFeaturesRankNothing) {
   auto result = engine.DiscoverFeatures("c", "label");
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->ranked.empty());  // All features irrelevant.
+}
+
+TEST(DegenerateDataTest, InfiniteCsvCellsKeepPearsonScoresFinite) {
+  // strtod parses "inf", so a CSV lake can hold infinite cells. Pearson
+  // relevance treats them as missing; a NaN score would break SelectKBest's
+  // ordering and leak into the path score.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/autofeat_inf_lake";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream base(dir + "/base.csv");
+    base << "id,x,label\n";
+    for (int i = 0; i < 120; ++i) {
+      base << i << ',' << (i * 7 % 11) << ',' << (i % 2) << '\n';
+    }
+    std::ofstream sat(dir + "/sat.csv");
+    sat << "id,y,z\n";
+    for (int i = 0; i < 120; ++i) {
+      const char* y = i == 3 ? "inf" : i == 8 ? "-inf" : nullptr;
+      sat << i << ',';
+      if (y != nullptr) {
+        sat << y;
+      } else {
+        sat << (i % 2) * 2.0 + (i % 5) * 0.1;
+      }
+      sat << ',' << (i % 3) << '\n';
+    }
+  }
+  auto lake = DataLake::FromCsvDirectory(dir);
+  ASSERT_TRUE(lake.ok()) << lake.status().ToString();
+  const Column* y = *(*lake->GetTable("sat"))->GetColumn("y");
+  ASSERT_TRUE(std::isinf(y->ToNumeric()[3]));
+  lake->AddKfk(KfkConstraint{"base", "id", "sat", "id"});
+  auto drg = BuildDrgFromKfk(*lake);
+  ASSERT_TRUE(drg.ok());
+  AutoFeatConfig config;
+  config.relevance = RelevanceKind::kPearson;
+  AutoFeat engine(&*lake, &*drg, config);
+  auto result = engine.DiscoverFeatures("base", "label");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->ranked.empty());
+  for (const auto& rp : result->ranked) {
+    EXPECT_TRUE(std::isfinite(rp.score));
+    for (const auto& f : rp.selected_features) {
+      EXPECT_TRUE(std::isfinite(f.score)) << f.name;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // ---- Tuning over a broken lake -----------------------------------------------

@@ -18,17 +18,6 @@ namespace autofeat {
 
 namespace {
 
-// Column names present in `joined` but not in `before` — the features the
-// latest join appended.
-std::vector<std::string> AppendedColumns(const Table& before,
-                                         const Table& joined) {
-  std::vector<std::string> out;
-  for (const auto& name : joined.ColumnNames()) {
-    if (!before.HasColumn(name)) out.push_back(name);
-  }
-  return out;
-}
-
 StreamingFeatureSelector::Options MakeSelectorOptions(
     const AutoFeatConfig& config) {
   StreamingFeatureSelector::Options options;
@@ -63,8 +52,8 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
   obs::Counter* m_pruned_redundant =
       obs::GetCounter(metrics_, "discovery.pruned_redundant");
   obs::Counter* m_ranked = obs::GetCounter(metrics_, "discovery.ranked_paths");
-  obs::Histogram* m_frontier =
-      obs::GetHistogram(metrics_, "discovery.frontier_size");
+  obs::QuantileHistogram* m_frontier = obs::GetQuantile(
+      metrics_, "discovery.frontier_size", /*deterministic=*/true);
   obs::Gauge* m_frontier_peak =
       obs::GetGauge(metrics_, "discovery.frontier_peak");
 
@@ -76,11 +65,11 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
   AF_ASSIGN_OR_RETURN(size_t base_node, drg_->NodeId(base_table));
   Rng rng(config_.seed);
 
-  // Fast path: every (right table, key column) the DRG can reach is
-  // interned once up front, in parallel, and shared by all candidates.
-  if (join_cache_ptr_ != nullptr) {
+  // Every (right table, key column) the DRG can reach is interned once up
+  // front, in parallel, and shared by all candidates.
+  {
     obs::ScopedSpan span(tracer_, "discover.prewarm");
-    join_cache_ptr_->Prewarm(*drg_, pool_.get());
+    join_cache_->Prewarm(*drg_, pool_.get());
   }
 
   // Stratified sampling speeds up feature selection without biasing the
@@ -142,11 +131,6 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
     return sig;
   };
 
-  // Monotone counter over evaluated candidate edges; every candidate's join
-  // draws from an RNG stream derived from (seed, counter) so the result does
-  // not depend on how many threads interleaved their draws.
-  uint64_t candidate_counter = 0;
-
   // Eviction-schedule stress (qa/bench): between BFS rounds, drop cache
   // entries so later rounds exercise rebuild-on-miss. Runs on the
   // coordinating thread with a counter-derived draw, so the schedule is a
@@ -154,15 +138,14 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
   // depend on it is checked by qa's cache.eviction_oblivious.
   uint64_t stress_round = 0;
   auto stress_evict = [&] {
-    if (join_cache_ptr_ == nullptr) return;
     switch (config_.eviction_stress) {
       case EvictionStress::kNone:
         return;
       case EvictionStress::kEvictAll:
-        join_cache_ptr_->EvictAll();
+        join_cache_->EvictAll();
         return;
       case EvictionStress::kRandom:
-        join_cache_ptr_->EvictRandomHalf(
+        join_cache_->EvictRandomHalf(
             DeriveSeed(config_.seed, 0xE71C7ULL + stress_round++));
         return;
     }
@@ -206,7 +189,6 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
       JoinStep edge;
       size_t neighbor = 0;
       const Table* right = nullptr;
-      uint64_t rng_seed = 0;
     };
     std::vector<Candidate> candidates;
     for (size_t neighbor : neighbors) {
@@ -239,9 +221,7 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
           obs::Increment(m_pruned_infeasible);
           continue;
         }
-        candidates.push_back(
-            Candidate{edge, neighbor, right,
-                      DeriveSeed(config_.seed, candidate_counter++)});
+        candidates.push_back(Candidate{edge, neighbor, right});
       }
     }
 
@@ -249,19 +229,15 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
     // feature-view construction and the (stateless) relevance stage. Tasks
     // only read shared state; each writes its own Eval slot.
     //
-    // With the join fast path the candidate is never materialised here: the
-    // cached key index yields a left-row -> right-row mapping, and
-    // completeness + the relevance view are computed through gathered views
-    // of only the appended columns. The legacy path (join_fast_path off)
-    // keeps the pre-interning string-keyed join + full materialisation as
-    // the differential baseline for bench/join_path_eval.
+    // The candidate is never materialised here: the cached key index yields
+    // a left-row -> right-row mapping, and completeness + the relevance view
+    // are computed through gathered views of only the appended columns.
     struct Eval {
       Status status;               // FeatureView failure, surfaced in order
       bool infeasible = false;     // join failed or matched no rows
       bool low_quality = false;    // completeness < tau
-      Table joined;                        // legacy path only
-      std::vector<uint32_t> right_rows;    // fast path: composed row mapping
-      std::vector<std::string> appended;   // fast path: resolved new names
+      std::vector<uint32_t> right_rows;    // composed row mapping
+      std::vector<std::string> appended;   // resolved new names
       std::optional<FeatureView> view;
       std::vector<FeatureScore> relevant;
       double fs_seconds = 0.0;
@@ -273,82 +249,44 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
           obs::ScopedWorkerSpan task_span(bfs_ctx, "bfs.candidate");
           const Candidate& cand = candidates[c];
           Eval ev;
-          if (join_cache_ptr_ != nullptr) {
-            auto index = join_cache_ptr_->GetOrBuild(
-                drg_->NodeName(cand.neighbor), cand.edge.to_column);
-            auto lkey = state.table.GetColumn(cand.edge.from_column);
-            if (!index.ok() || !lkey.ok()) {
-              ev.infeasible = true;
-              return ev;
-            }
-            JoinRowMap map = MapLeftJoin(**lkey, **index);
-            if (map.stats.matched_rows == 0) {
-              ev.infeasible = true;
-              return ev;
-            }
-            // Data-quality pruning straight through the mapping (§IV-C):
-            // a null in an appended column is an unmatched left row or a
-            // right-side null.
-            ev.appended = ResolveAppendedNames(state.table, *cand.right);
-            size_t cells = ev.appended.size() * map.right_rows.size();
-            size_t nulls = 0;
-            for (size_t col = 0; col < cand.right->num_columns(); ++col) {
-              nulls += GatherNullCount(cand.right->column(col),
-                                       map.right_rows);
-            }
-            double completeness =
-                cells == 0 ? 1.0
-                           : 1.0 - static_cast<double>(nulls) /
-                                       static_cast<double>(cells);
-            if (completeness < config_.tau) {
-              ev.low_quality = true;
-              return ev;
-            }
-            Timer t;
-            std::vector<std::vector<double>> numeric;
-            numeric.reserve(cand.right->num_columns());
-            for (size_t col = 0; col < cand.right->num_columns(); ++col) {
-              numeric.push_back(
-                  GatherNumeric(cand.right->column(col), map.right_rows));
-            }
-            auto view = FeatureView::FromColumns(ev.appended,
-                                                 std::move(numeric), label);
-            if (!view.ok()) {
-              ev.status = view.status();
-              return ev;
-            }
-            std::vector<size_t> all_indices(view->num_features());
-            for (size_t i = 0; i < all_indices.size(); ++i) all_indices[i] = i;
-            ev.relevant = selector.ScoreBatchRelevance(*view, all_indices);
-            ev.fs_seconds = t.ElapsedSeconds();
-            ev.view = std::move(*view);
-            ev.right_rows = std::move(map.right_rows);
-            return ev;
-          }
-          Rng task_rng(cand.rng_seed);
-          auto joined =
-              JoinStringKeyed(state.table, cand.edge.from_column, *cand.right,
-                              cand.edge.to_column, &task_rng);
-          if (!joined.ok() || joined->stats.matched_rows == 0) {
+          auto index = join_cache_->GetOrBuild(
+              drg_->NodeName(cand.neighbor), cand.edge.to_column);
+          auto lkey = state.table.GetColumn(cand.edge.from_column);
+          if (!index.ok() || !lkey.ok()) {
             ev.infeasible = true;
             return ev;
           }
-          // Data-quality pruning: completeness of the appended columns must
-          // reach tau (§IV-C).
-          std::vector<std::string> new_columns =
-              AppendedColumns(state.table, joined->table);
-          auto completeness = JoinCompleteness(joined->table, new_columns);
-          if (!completeness.ok()) {
-            ev.status = completeness.status();
+          JoinRowMap map = MapLeftJoin(**lkey, **index);
+          if (map.stats.matched_rows == 0) {
+            ev.infeasible = true;
             return ev;
           }
-          if (*completeness < config_.tau) {
+          // Data-quality pruning straight through the mapping (§IV-C):
+          // a null in an appended column is an unmatched left row or a
+          // right-side null.
+          ev.appended = ResolveAppendedNames(state.table, *cand.right);
+          size_t cells = ev.appended.size() * map.right_rows.size();
+          size_t nulls = 0;
+          for (size_t col = 0; col < cand.right->num_columns(); ++col) {
+            nulls += GatherNullCount(cand.right->column(col), map.right_rows);
+          }
+          double completeness =
+              cells == 0 ? 1.0
+                         : 1.0 - static_cast<double>(nulls) /
+                                     static_cast<double>(cells);
+          if (completeness < config_.tau) {
             ev.low_quality = true;
             return ev;
           }
           Timer t;
-          auto view = FeatureView::FromTable(joined->table, label_column,
-                                             new_columns);
+          std::vector<std::vector<double>> numeric;
+          numeric.reserve(cand.right->num_columns());
+          for (size_t col = 0; col < cand.right->num_columns(); ++col) {
+            numeric.push_back(
+                GatherNumeric(cand.right->column(col), map.right_rows));
+          }
+          auto view = FeatureView::FromColumns(ev.appended,
+                                               std::move(numeric), label);
           if (!view.ok()) {
             ev.status = view.status();
             return ev;
@@ -358,7 +296,7 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
           ev.relevant = selector.ScoreBatchRelevance(*view, all_indices);
           ev.fs_seconds = t.ElapsedSeconds();
           ev.view = std::move(*view);
-          ev.joined = std::move(joined->table);
+          ev.right_rows = std::move(map.right_rows);
           return ev;
         });
 
@@ -405,22 +343,17 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
       }
       node_visited[candidates[c].neighbor] = true;
       // Leaf states (at the hop limit) can never expand; skip carrying
-      // their join result into the frontier. Late materialisation: on the
-      // fast path this is the only place a candidate's join becomes a real
-      // Table — pruned candidates and hop-limit leaves never pay for one.
+      // their join result into the frontier. Late materialisation: this is
+      // the only place a candidate's join becomes a real Table — pruned
+      // candidates and hop-limit leaves never pay for one.
       if (next.path.length() < config_.max_hops) {
         obs::Increment(m_materialised);
-        if (join_cache_ptr_ != nullptr) {
-          Table joined = state.table;
-          const Table& right = *candidates[c].right;
-          for (size_t col = 0; col < right.num_columns(); ++col) {
-            AF_RETURN_NOT_OK(joined.AddColumn(
-                ev.appended[col],
-                GatherColumn(right.column(col), ev.right_rows)));
-          }
-          next.table = std::move(joined);
-        } else {
-          next.table = std::move(ev.joined);
+        next.table = state.table;
+        const Table& right = *candidates[c].right;
+        for (size_t col = 0; col < right.num_columns(); ++col) {
+          AF_RETURN_NOT_OK(next.table.AddColumn(
+              ev.appended[col],
+              GatherColumn(right.column(col), ev.right_rows)));
         }
         frontier.push_back(std::move(next));
       }
@@ -446,8 +379,6 @@ Result<Table> AutoFeat::MaterializeAugmentedTable(
     return Status::KeyError("label column '" + label_column +
                             "' missing from base table " + base_table);
   }
-  Rng rng(config_.seed);
-
   Table current = *base;
   for (const JoinStep& step : ranked.path.steps) {
     const std::string& right_name = drg_->NodeName(step.to_node);
@@ -456,20 +387,14 @@ Result<Table> AutoFeat::MaterializeAugmentedTable(
       return Status::KeyError("join column vanished during materialisation: " +
                               step.from_column);
     }
-    JoinResult joined;
-    if (join_cache_ptr_ != nullptr) {
-      // The shared cache means the full-data materialisation picks the same
-      // per-key representatives the discovery phase scored (rebuilds after
-      // eviction reproduce them exactly).
-      AF_ASSIGN_OR_RETURN(JoinIndexCache::IndexPin index,
-                          join_cache_ptr_->GetOrBuild(right_name, step.to_column));
-      AF_ASSIGN_OR_RETURN(
-          joined, LeftJoinWithIndex(current, step.from_column, *right, *index));
-    } else {
-      AF_ASSIGN_OR_RETURN(joined, JoinStringKeyed(current, step.from_column,
-                                                  *right, step.to_column,
-                                                  &rng));
-    }
+    // The shared cache means the full-data materialisation picks the same
+    // per-key representatives the discovery phase scored (rebuilds after
+    // eviction reproduce them exactly).
+    AF_ASSIGN_OR_RETURN(JoinIndexCache::IndexPin index,
+                        join_cache_->GetOrBuild(right_name, step.to_column));
+    AF_ASSIGN_OR_RETURN(
+        JoinResult joined,
+        LeftJoinWithIndex(current, step.from_column, *right, *index));
     current = std::move(joined.table);
   }
 

@@ -98,30 +98,17 @@ class AutoFeat {
       if (metrics_ != nullptr) pool_->set_metrics(metrics_);
       if (tracer_ != nullptr) pool_->set_tracer(tracer_);
     }
-    if (config_.join_fast_path) {
-      if (config_.join_cache != nullptr) {
-        // Serving layer: an external cache shared across queries. Entries
-        // are pure functions of (table contents, column, seed), so sharing
-        // is invisible in the results.
-        join_cache_ptr_ = config_.join_cache;
-      } else {
-        join_cache_ = std::make_unique<JoinIndexCache>(
-            lake_, config_.seed, metrics_, tracer_,
-            config_.memory_budget_bytes);
-        join_cache_ptr_ = join_cache_.get();
-      }
+    // The join-index cache is shared by discovery and top-k
+    // materialisation. The serving layer passes an external cache shared
+    // across queries; entries are pure functions of (table contents, column,
+    // seed), so sharing is invisible in the results.
+    join_cache_ = config_.join_cache;
+    if (join_cache_ == nullptr) {
+      owned_join_cache_ = std::make_unique<JoinIndexCache>(
+          lake_, config_.seed, metrics_, tracer_, config_.memory_budget_bytes);
+      join_cache_ = owned_join_cache_.get();
     }
   }
-
-  /// The engine's worker pool (null on the sequential path). Exposed so
-  /// callers can reuse it for DRG construction with the same knob.
-  ThreadPool* thread_pool() const { return pool_.get(); }
-
-  /// The engine's join-index cache (null when config.join_fast_path is
-  /// off). Shared by discovery, top-k materialisation and any caller that
-  /// wants to join against the same lake with consistent representatives.
-  /// Points at config.join_cache when that external cache was supplied.
-  JoinIndexCache* join_index_cache() const { return join_cache_ptr_; }
 
   /// The engine's metrics registry / tracer (null unless
   /// config.metrics_enabled). Points at config.metrics / config.tracer when
@@ -155,8 +142,8 @@ class AutoFeat {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<JoinIndexCache> join_cache_;  // owned (no external cache)
-  JoinIndexCache* join_cache_ptr_ = nullptr;    // owned or external
+  std::unique_ptr<JoinIndexCache> owned_join_cache_;  // no external cache
+  JoinIndexCache* join_cache_ = nullptr;              // owned or external
 };
 
 }  // namespace autofeat

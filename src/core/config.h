@@ -74,17 +74,6 @@ struct AutoFeatConfig {
   /// (0 = use all rows). Model training always sees the full data (§VI).
   size_t sample_rows = 2000;
 
-  /// Join fast path: intern key columns once per (lake table, key column)
-  /// in a shared JoinIndexCache and score BFS candidate edges through
-  /// factorized row mappings, materialising a joined Table only for states
-  /// that actually enter the frontier or reach the ML evaluator. When
-  /// false, the engine runs the pre-interning reference path (string-keyed
-  /// joins, full materialisation per candidate) — kept for differential
-  /// benchmarking (bench/join_path_eval); the two paths explore identical
-  /// path sets but may pick different cardinality-normalisation
-  /// representatives, so scores can differ in the last digits.
-  bool join_fast_path = true;
-
   /// Worker threads for frontier expansion and top-k path evaluation:
   /// 0 = one per hardware thread, 1 = legacy sequential path (no pool),
   /// n = a fixed-size pool of n workers. Results are byte-identical at any
@@ -122,11 +111,11 @@ struct AutoFeatConfig {
   obs::Tracer* tracer = nullptr;
 
   /// Optional externally owned join-index cache (serving layer): when
-  /// non-null and join_fast_path is set, the engine uses it instead of
-  /// constructing a private one, so the cache outlives the engine and is
-  /// shared across queries. The cache must be built over the same lake the
-  /// engine reads and with the same seed (its entries are pure functions of
-  /// (table contents, column, seed), so sharing never changes results).
+  /// non-null, the engine uses it instead of constructing a private one, so
+  /// the cache outlives the engine and is shared across queries. The cache
+  /// must be built over the same lake the engine reads and with the same
+  /// seed (its entries are pure functions of (table contents, column,
+  /// seed), so sharing never changes results).
   JoinIndexCache* join_cache = nullptr;
 
   uint64_t seed = 42;

@@ -40,8 +40,9 @@ JoinIndexCache::JoinIndexCache(const DataLake* lake, uint64_t seed,
     : lake_(lake),
       seed_(seed),
       tracer_(tracer),
-      key_cardinality_(
-          obs::GetHistogram(metrics, "join_index_cache.key_cardinality")),
+      key_cardinality_(obs::GetQuantile(metrics,
+                                        "join_index_cache.key_cardinality",
+                                        /*deterministic=*/true)),
       cache_("join_index", metrics, budget_bytes, /*count_requests=*/true) {}
 
 Result<JoinIndexCache::IndexPin> JoinIndexCache::GetOrBuild(

@@ -115,7 +115,7 @@ class JoinIndexCache {
   const DataLake* lake_;
   uint64_t seed_;
   obs::Tracer* tracer_;
-  obs::Histogram* key_cardinality_;
+  obs::QuantileHistogram* key_cardinality_;
   BudgetedCache<JoinKeyIndex> cache_;
 };
 

@@ -50,8 +50,8 @@ Result<CrossValidationResult> CrossValidate(
   result.model_name = ModelKindName(kind);
 
   obs::Increment(obs::GetCounter(options.metrics, "cv.runs"));
-  obs::Histogram* fold_test_rows =
-      obs::GetHistogram(options.metrics, "cv.fold_test_rows");
+  obs::QuantileHistogram* fold_test_rows = obs::GetQuantile(
+      options.metrics, "cv.fold_test_rows", /*deterministic=*/true);
   if (fold_test_rows != nullptr) {
     std::vector<uint64_t> per_fold(options.folds, 0);
     for (size_t f : assignment) ++per_fold[f];

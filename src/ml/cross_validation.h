@@ -27,8 +27,8 @@ struct CrossValidationOptions {
   /// results are identical at any thread count.
   size_t num_threads = 1;
   /// Optional observability sink: records `cv.runs`, `cv.folds_trained`
-  /// and the `cv.fold_test_rows` histogram (all deterministic — fold
-  /// assignment is a pure function of the seed).
+  /// and the `cv.fold_test_rows` quantile histogram (all deterministic —
+  /// fold assignment is a pure function of the seed).
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional tracer: each fold records a `cv.fold` worker span (plus the
   /// pool's `thread_pool.worker` lane spans when folds run in parallel).

@@ -1,8 +1,11 @@
-// Minimal JSON document parser.
+// Minimal JSON document parser — the repo's one JSON reader.
 //
 // Just enough JSON to read back the repo's own machine-readable outputs —
-// BENCH_*.json timing records (tools/bench_diff) and Chrome trace exports
-// (test validation) — with zero third-party dependencies. Numbers are
+// BENCH_*.json timing records (tools/bench_diff), Chrome trace exports and
+// obs reports (test validation; obs::JsonIsValid is ParseJson(...).ok()) —
+// with zero third-party dependencies. Malformed input is rejected: raw
+// control characters in strings, unknown escapes, leading zeros, trailing
+// characters and nesting deeper than 256 levels. Numbers are
 // held as double (BENCH values are seconds and metric counts, both well
 // inside the 2^53 exact-integer range); object fields keep insertion
 // order; \uXXXX escapes decode to UTF-8.

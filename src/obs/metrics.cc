@@ -1,31 +1,6 @@
 #include "obs/metrics.h"
 
-#include <bit>
-
 namespace autofeat::obs {
-
-size_t Histogram::BucketOf(uint64_t v) {
-  return v == 0 ? 0 : static_cast<size_t>(std::bit_width(v));
-}
-
-void Histogram::Record(uint64_t v) {
-  buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  uint64_t cur = min_.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-  cur = max_.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-uint64_t Histogram::min() const {
-  uint64_t m = min_.load(std::memory_order_relaxed);
-  return m == UINT64_MAX ? 0 : m;
-}
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      bool deterministic) {
@@ -48,19 +23,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name, bool deterministic) {
     entry.gauge = std::make_unique<Gauge>();
   }
   return entry.kind == MetricKind::kGauge ? entry.gauge.get() : nullptr;
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         bool deterministic) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entries_[name];
-  if (entry.empty()) {
-    entry.kind = MetricKind::kHistogram;
-    entry.deterministic = deterministic;
-    entry.histogram = std::make_unique<Histogram>();
-  }
-  return entry.kind == MetricKind::kHistogram ? entry.histogram.get()
-                                              : nullptr;
 }
 
 QuantileHistogram* MetricsRegistry::GetQuantile(const std::string& name,
@@ -87,20 +49,6 @@ int64_t MetricsRegistry::GaugeValue(const std::string& name) const {
   auto it = entries_.find(name);
   if (it == entries_.end() || it->second.gauge == nullptr) return 0;
   return it->second.gauge->value();
-}
-
-uint64_t MetricsRegistry::HistogramCount(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.histogram == nullptr) return 0;
-  return it->second.histogram->count();
-}
-
-uint64_t MetricsRegistry::HistogramSum(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.histogram == nullptr) return 0;
-  return it->second.histogram->sum();
 }
 
 uint64_t MetricsRegistry::QuantileCount(const std::string& name) const {
@@ -136,22 +84,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         snap.gauges.push_back(
             GaugeSample{name, entry.deterministic, entry.gauge->value()});
         break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        HistogramSample sample;
-        sample.name = name;
-        sample.deterministic = entry.deterministic;
-        sample.count = h.count();
-        sample.sum = h.sum();
-        sample.min = h.min();
-        sample.max = h.max();
-        for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-          uint64_t c = h.bucket(b);
-          if (c > 0) sample.buckets.emplace_back(b, c);
-        }
-        snap.histograms.push_back(std::move(sample));
-        break;
-      }
       case MetricKind::kQuantile: {
         const QuantileHistogram& q = *entry.quantile;
         QuantileSample sample;

@@ -1,11 +1,11 @@
 // Zero-dependency metrics substrate for the observability layer.
 //
-// A MetricsRegistry names four metric kinds: monotonic Counters, last-value
-// Gauges, Histograms over fixed log2 buckets, and QuantileHistograms
-// (obs/quantile.h) for exact-quantile latency series. All update paths are
-// lock-free atomics, safe to hit from ThreadPool workers; the registry map
-// itself is mutex-protected, so components resolve their metric handles once
-// (construction time) and increment through the handle on the hot path.
+// A MetricsRegistry names three metric kinds: monotonic Counters, last-value
+// Gauges, and QuantileHistograms (obs/quantile.h) for distributions. All
+// update paths are lock-free atomics, safe to hit from ThreadPool workers;
+// the registry map itself is mutex-protected, so components resolve their
+// metric handles once (construction time) and increment through the handle
+// on the hot path.
 //
 // Disabled-path contract: the whole library threads a *nullable*
 // MetricsRegistry pointer through its layers. Every helper below
@@ -66,50 +66,7 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// \brief Distribution over fixed log2 buckets.
-///
-/// Bucket 0 counts the value 0; bucket b >= 1 counts values in
-/// [2^(b-1), 2^b - 1] — i.e. the bucket of v > 0 is bit_width(v). 65 buckets
-/// cover the whole uint64 range, so the layout never depends on the data.
-class Histogram {
- public:
-  static constexpr size_t kNumBuckets = 65;
-
-  void Record(uint64_t v);
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// Min/max of recorded values; min() is 0 when nothing was recorded.
-  uint64_t min() const;
-  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  uint64_t bucket(size_t b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-
-  /// Bucket index of a value (0 for 0, else bit_width).
-  static size_t BucketOf(uint64_t v);
-
- private:
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
-  std::atomic<uint64_t> max_{0};
-};
-
-enum class MetricKind { kCounter, kGauge, kHistogram, kQuantile };
-
-/// Point-in-time copy of one histogram (for reports/tests).
-struct HistogramSample {
-  std::string name;
-  bool deterministic = true;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t min = 0;
-  uint64_t max = 0;
-  /// (bucket index, count) for non-empty buckets, ascending.
-  std::vector<std::pair<size_t, uint64_t>> buckets;
-};
+enum class MetricKind { kCounter, kGauge, kQuantile };
 
 struct CounterSample {
   std::string name;
@@ -142,7 +99,6 @@ struct QuantileSample {
 struct MetricsSnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
   std::vector<QuantileSample> quantiles;
 };
 
@@ -163,18 +119,15 @@ class MetricsRegistry {
   /// type confusion). The `deterministic` flag is fixed on first creation.
   Counter* GetCounter(const std::string& name, bool deterministic = true);
   Gauge* GetGauge(const std::string& name, bool deterministic = true);
-  Histogram* GetHistogram(const std::string& name, bool deterministic = true);
   /// Latency-style distributions are wall-clock derived, so quantile
-  /// histograms default to non-deterministic (excluded from the digest).
+  /// histograms default to non-deterministic (excluded from the digest);
+  /// work-size distributions (frontier sizes, key cardinalities) pass true.
   QuantileHistogram* GetQuantile(const std::string& name,
                                  bool deterministic = false);
 
   /// Snapshot reads; 0 when the metric does not exist (or is another kind).
   uint64_t CounterValue(const std::string& name) const;
   int64_t GaugeValue(const std::string& name) const;
-  /// Histogram count()/sum() reads with the same missing-is-zero contract.
-  uint64_t HistogramCount(const std::string& name) const;
-  uint64_t HistogramSum(const std::string& name) const;
   /// QuantileHistogram reads with the same missing-is-zero contract.
   uint64_t QuantileCount(const std::string& name) const;
   uint64_t QuantileValueAt(const std::string& name, double q) const;
@@ -189,12 +142,10 @@ class MetricsRegistry {
     bool deterministic = true;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<QuantileHistogram> quantile;
 
     bool empty() const {
-      return counter == nullptr && gauge == nullptr && histogram == nullptr &&
-             quantile == nullptr;
+      return counter == nullptr && gauge == nullptr && quantile == nullptr;
     }
   };
 
@@ -214,12 +165,6 @@ inline Gauge* GetGauge(MetricsRegistry* registry, const std::string& name,
   return registry != nullptr ? registry->GetGauge(name, deterministic)
                              : nullptr;
 }
-inline Histogram* GetHistogram(MetricsRegistry* registry,
-                               const std::string& name,
-                               bool deterministic = true) {
-  return registry != nullptr ? registry->GetHistogram(name, deterministic)
-                             : nullptr;
-}
 inline QuantileHistogram* GetQuantile(MetricsRegistry* registry,
                                       const std::string& name,
                                       bool deterministic = false) {
@@ -236,9 +181,6 @@ inline void Set(Gauge* gauge, int64_t v) {
 }
 inline void UpdateMax(Gauge* gauge, int64_t v) {
   if (gauge != nullptr) gauge->UpdateMax(v);
-}
-inline void Record(Histogram* histogram, uint64_t v) {
-  if (histogram != nullptr) histogram->Record(v);
 }
 inline void Record(QuantileHistogram* quantile, uint64_t v) {
   if (quantile != nullptr) quantile->Record(v);

@@ -16,14 +16,6 @@ std::string Sanitize(const std::string& name) {
   return out;
 }
 
-// Largest value in log2 bucket b (obs::Histogram layout: bucket 0 holds 0,
-// bucket b >= 1 holds [2^(b-1), 2^b - 1]).
-uint64_t Log2BucketUpper(size_t b) {
-  if (b == 0) return 0;
-  if (b >= 64) return UINT64_MAX;
-  return (uint64_t{1} << b) - 1;
-}
-
 }  // namespace
 
 std::string PrometheusText(const MetricsRegistry& metrics) {
@@ -37,19 +29,6 @@ std::string PrometheusText(const MetricsRegistry& metrics) {
   for (const GaugeSample& g : snap.gauges) {
     std::string n = Sanitize(g.name);
     out << "# TYPE " << n << " gauge\n" << n << " " << g.value << "\n";
-  }
-  for (const HistogramSample& h : snap.histograms) {
-    std::string n = Sanitize(h.name);
-    out << "# TYPE " << n << " histogram\n";
-    uint64_t cumulative = 0;
-    for (const auto& [bucket, count] : h.buckets) {
-      cumulative += count;
-      out << n << "_bucket{le=\"" << Log2BucketUpper(bucket) << "\"} "
-          << cumulative << "\n";
-    }
-    out << n << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    out << n << "_sum " << h.sum << "\n";
-    out << n << "_count " << h.count << "\n";
   }
   for (const QuantileSample& q : snap.quantiles) {
     std::string n = Sanitize(q.name);

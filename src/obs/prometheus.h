@@ -1,8 +1,7 @@
 // Prometheus-style text exposition of a MetricsRegistry.
 //
 // One function renders a point-in-time snapshot in the Prometheus text
-// format (version 0.0.4): counters and gauges as single samples,
-// log2-bucket Histograms as cumulative `_bucket{le="..."}` series, and
+// format (version 0.0.4): counters and gauges as single samples, and
 // QuantileHistograms as summaries with `{quantile="0.5|0.9|0.99|0.999"}`
 // labels plus `_sum`/`_count`. Metric names are prefixed `autofeat_` and
 // sanitized to the Prometheus charset (`[a-zA-Z0-9_]`, dots become

@@ -1,13 +1,12 @@
-// Exact-quantile latency recording: a mergeable fixed-precision histogram
-// in the HDR-histogram style.
+// The registry's one distribution kind: a mergeable fixed-precision
+// histogram in the HDR-histogram style, used both for wall-clock latencies
+// (serving SLOs, where a 9 ms and a 15 ms p99 must differ) and for
+// deterministic work sizes (frontier sizes, key cardinalities, fold sizes).
 //
-// The log2-bucket obs::Histogram answers "what order of magnitude" — good
-// enough for frontier sizes, useless for serving latency SLOs where the
-// difference between a 9 ms and a 15 ms p99 matters. A QuantileHistogram
-// keeps sub-bucket resolution inside every octave: values below
-// kSubBucketCount are counted exactly, and every larger value v lands in
-// the bucket of (v >> shift) where the shift keeps kSubBucketHalf
-// sub-buckets per octave. Quantile queries walk the cumulative counts and
+// A QuantileHistogram keeps sub-bucket resolution inside every octave:
+// values below kSubBucketCount are counted exactly, and every larger value
+// v lands in the bucket of (v >> shift) where the shift keeps
+// kSubBucketHalf sub-buckets per octave. Quantile queries walk the cumulative counts and
 // return the bucket's *upper bound*, so the estimate never under-reports
 // and is within a bounded relative error of the true rank statistic:
 //
@@ -19,13 +18,14 @@
 // associative and commutative: per-thread recorders fold into one
 // process-wide distribution with no loss beyond the fixed precision.
 //
-// Thread safety: Record is lock-free (relaxed atomics per bucket, as
-// obs::Histogram); Merge/quantile queries read relaxed snapshots and are
-// safe to call concurrently with recorders (a racing query sees some
-// recent prefix of the updates, exact once recorders quiesce).
+// Thread safety: Record is lock-free (relaxed atomics per bucket);
+// Merge/quantile queries read relaxed snapshots and are safe to call
+// concurrently with recorders (a racing query sees some recent prefix of
+// the updates, exact once recorders quiesce).
 //
-// Units are the caller's choice; the serving layer records nanoseconds
-// (metric names carry a `_ns` suffix so report consumers can scale).
+// Units are the caller's choice; latency series record nanoseconds (metric
+// names carry a `_ns` suffix so report consumers can scale), work-size
+// series record plain counts.
 
 #ifndef AUTOFEAT_OBS_QUANTILE_H_
 #define AUTOFEAT_OBS_QUANTILE_H_

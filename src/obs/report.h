@@ -44,9 +44,9 @@ std::string JsonReport(const MetricsRegistry& metrics, const Tracer* tracer,
 std::string DeterministicDigest(const MetricsRegistry& metrics,
                                 const Tracer* tracer);
 
-/// Minimal JSON well-formedness check (objects, arrays, strings, numbers,
-/// booleans, null; UTF-8 passthrough). Used by tests to validate emitted
-/// reports without an external JSON dependency.
+/// JSON well-formedness check: true when ParseJson (obs/json_value.h)
+/// accepts `text`. Used by tests to validate emitted reports without an
+/// external JSON dependency.
 bool JsonIsValid(const std::string& text);
 
 }  // namespace autofeat::obs

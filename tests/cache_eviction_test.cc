@@ -374,7 +374,7 @@ TEST(JoinIndexCacheEvictionTest, RebuildReproducesTheIdenticalEntry) {
   // Rebuilds are neither builds nor new key-cardinality samples.
   EXPECT_EQ(registry.CounterValue("join_index_cache.builds"), 1u);
   EXPECT_EQ(registry.CounterValue("join_index_cache.rebuilds"), 1u);
-  EXPECT_EQ(registry.HistogramCount("join_index_cache.key_cardinality"), 1u);
+  EXPECT_EQ(registry.QuantileCount("join_index_cache.key_cardinality"), 1u);
 }
 
 // Metrics-as-assertion accounting audit. After Prewarm over a generated

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "relational/join.h"
 #include "relational/join_index.h"
 #include "relational/sampling.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace autofeat {
@@ -29,6 +31,55 @@ StreamingFeatureSelector::Options MakeSelectorOptions(
   options.use_redundancy = config.use_redundancy;
   return options;
 }
+
+// Every distinct join of one discovery, scored once (DESIGN.md §4.15). A
+// left join keeps the base rows in order and picks one right row per key,
+// so a candidate's appended columns — their completeness, codes, relevance
+// and redundancy terms — depend only on the right table and the composed
+// base-row -> right-row mapping. Those two are the key; names are not part
+// of it, since collision suffixes differ between paths reaching the same
+// rows. The hash only buckets: a match compares the full mapping.
+class JoinMemo {
+ public:
+  struct Entry {
+    size_t node = 0;
+    std::vector<uint32_t> right_rows;
+    bool low_quality = false;  // completeness < tau; `columns` stays empty
+    ScoredColumns columns;
+  };
+
+  static uint64_t Hash(size_t node, const std::vector<uint32_t>& rows) {
+    std::string_view bytes(reinterpret_cast<const char*>(rows.data()),
+                           rows.size() * sizeof(uint32_t));
+    return DeriveSeed(std::hash<std::string_view>{}(bytes), node);
+  }
+
+  /// The entry for (node, rows), or null. Safe to call concurrently while
+  /// no Insert runs.
+  Entry* Find(uint64_t hash, size_t node,
+              const std::vector<uint32_t>& rows) const {
+    auto [it, end] = index_.equal_range(hash);
+    for (; it != end; ++it) {
+      if (it->second->node == node && it->second->right_rows == rows) {
+        return it->second;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Inserts `entry` unless its key is already present; returns the entry
+  /// holding the key either way, so the first insert wins.
+  Entry* Insert(uint64_t hash, Entry entry) {
+    if (Entry* found = Find(hash, entry.node, entry.right_rows)) return found;
+    Entry* stored = &entries_.emplace_back(std::move(entry));
+    index_.emplace(hash, stored);
+    return stored;
+  }
+
+ private:
+  std::deque<Entry> entries_;  // stable addresses
+  std::unordered_multimap<uint64_t, Entry*> index_;
+};
 
 }  // namespace
 
@@ -110,6 +161,7 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
   frontier.push_back(State{JoinPath{}, std::move(base_sampled), 0.0, {}});
 
   DiscoveryResult result;
+  JoinMemo memo;
   // Tables reached by any path so far (drives the beam's novelty order).
   std::vector<bool> node_visited(drg_->num_nodes(), false);
   node_visited[base_node] = true;
@@ -225,9 +277,10 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
       }
     }
 
-    // Phase 2 — evaluate every candidate concurrently: join, completeness,
-    // feature-view construction and the (stateless) relevance stage. Tasks
-    // only read shared state; each writes its own Eval slot.
+    // Phase 2 — evaluate every candidate concurrently: join, then, unless
+    // the memo already holds this distinct join, completeness, the feature
+    // view and the (stateless, name-free) relevance scores. Tasks only read
+    // shared state, the memo included; each writes its own Eval slot.
     //
     // The candidate is never materialised here: the cached key index yields
     // a left-row -> right-row mapping, and completeness + the relevance view
@@ -235,11 +288,10 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
     struct Eval {
       Status status;               // FeatureView failure, surfaced in order
       bool infeasible = false;     // join failed or matched no rows
-      bool low_quality = false;    // completeness < tau
-      std::vector<uint32_t> right_rows;    // composed row mapping
-      std::vector<std::string> appended;   // resolved new names
-      std::optional<FeatureView> view;
-      std::vector<FeatureScore> relevant;
+      std::vector<std::string> appended;  // resolved new names
+      uint64_t key_hash = 0;
+      JoinMemo::Entry* hit = nullptr;  // memo hit: `miss` stays empty
+      JoinMemo::Entry miss;            // fresh evaluation, inserted in phase 3
       double fs_seconds = 0.0;
     };
     obs::TaskContext bfs_ctx = obs::CaptureTaskContext(
@@ -261,11 +313,19 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
             ev.infeasible = true;
             return ev;
           }
+          ev.key_hash = JoinMemo::Hash(cand.neighbor, map.right_rows);
+          ev.hit = memo.Find(ev.key_hash, cand.neighbor, map.right_rows);
+          if (ev.hit != nullptr) {
+            if (!ev.hit->low_quality) {
+              ev.appended = ResolveAppendedNames(state.table, *cand.right);
+            }
+            return ev;
+          }
+          ev.miss.node = cand.neighbor;
           // Data-quality pruning straight through the mapping (§IV-C):
           // a null in an appended column is an unmatched left row or a
           // right-side null.
-          ev.appended = ResolveAppendedNames(state.table, *cand.right);
-          size_t cells = ev.appended.size() * map.right_rows.size();
+          size_t cells = cand.right->num_columns() * map.right_rows.size();
           size_t nulls = 0;
           for (size_t col = 0; col < cand.right->num_columns(); ++col) {
             nulls += GatherNullCount(cand.right->column(col), map.right_rows);
@@ -275,9 +335,11 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
                          : 1.0 - static_cast<double>(nulls) /
                                      static_cast<double>(cells);
           if (completeness < config_.tau) {
-            ev.low_quality = true;
+            ev.miss.low_quality = true;
+            ev.miss.right_rows = std::move(map.right_rows);
             return ev;
           }
+          ev.appended = ResolveAppendedNames(state.table, *cand.right);
           Timer t;
           std::vector<std::vector<double>> numeric;
           numeric.reserve(cand.right->num_columns());
@@ -285,24 +347,26 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
             numeric.push_back(
                 GatherNumeric(cand.right->column(col), map.right_rows));
           }
-          auto view = FeatureView::FromColumns(ev.appended,
-                                               std::move(numeric), label);
+          auto view =
+              FeatureView::FromColumns(ev.appended, std::move(numeric), label);
           if (!view.ok()) {
             ev.status = view.status();
             return ev;
           }
           std::vector<size_t> all_indices(view->num_features());
           for (size_t i = 0; i < all_indices.size(); ++i) all_indices[i] = i;
-          ev.relevant = selector.ScoreBatchRelevance(*view, all_indices);
+          ev.miss.columns = selector.ScoreColumns(*view, all_indices);
           ev.fs_seconds = t.ElapsedSeconds();
-          ev.view = std::move(*view);
-          ev.right_rows = std::move(map.right_rows);
+          ev.miss.right_rows = std::move(map.right_rows);
           return ev;
         });
 
     // Phase 3 — merge in candidate (edge) order. The redundancy stage
     // mutates R_sel, so it stays sequential here; because the merge order
     // equals the legacy evaluation order, the ranked output is identical.
+    // Misses enter the memo in this order too: a second miss on a key
+    // already inserted (a duplicate within one batch) takes the first
+    // entry, so the memo is a pure function of the merge order.
     obs::Increment(m_candidates, candidates.size());
     for (size_t c = 0; c < candidates.size(); ++c) {
       Eval& ev = evals[c];
@@ -312,7 +376,10 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
         obs::Increment(m_pruned_infeasible);
         continue;
       }
-      if (ev.low_quality) {
+      JoinMemo::Entry* join =
+          ev.hit != nullptr ? ev.hit
+                            : memo.Insert(ev.key_hash, std::move(ev.miss));
+      if (join->low_quality) {
         ++result.paths_pruned_quality;
         obs::Increment(m_pruned_quality);
         continue;
@@ -321,7 +388,7 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
       fs_seconds += ev.fs_seconds;
       Timer t;
       StreamingFeatureSelector::BatchResult batch =
-          selector.CommitBatch(*ev.view, std::move(ev.relevant));
+          selector.CommitBatch(ev.appended, &join->columns);
       fs_seconds += t.ElapsedSeconds();
 
       State next;
@@ -353,7 +420,7 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
         for (size_t col = 0; col < right.num_columns(); ++col) {
           AF_RETURN_NOT_OK(next.table.AddColumn(
               ev.appended[col],
-              GatherColumn(right.column(col), ev.right_rows)));
+              GatherColumn(right.column(col), join->right_rows)));
         }
         frontier.push_back(std::move(next));
       }

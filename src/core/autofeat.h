@@ -43,7 +43,10 @@ struct DiscoveryResult {
   /// Paths with a positive score, sorted by descending score. Ties keep BFS
   /// (shortest-first) order.
   std::vector<RankedPath> ranked;
-  /// Time spent in relevance + redundancy analysis only.
+  /// Time spent in relevance + redundancy analysis only. Each distinct
+  /// join is scored once per discovery (DESIGN.md §4.15): its first
+  /// candidate pays for the feature view and relevance scoring, and a path
+  /// reusing it pays only its top-kappa cut and redundancy commit.
   double feature_selection_seconds = 0.0;
   /// Wall time of the whole discovery (joins + pruning + selection).
   double total_seconds = 0.0;

@@ -1,7 +1,6 @@
 #include "fs/feature_view.h"
 
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "stats/discretize.h"
@@ -17,27 +16,52 @@ std::shared_ptr<const LabelBlock> LabelBlock::Build(
   return block;
 }
 
-void FeatureView::AddFeature(std::string name, std::vector<double> numeric) {
-  // A numeric column with few distinct values is effectively categorical and
-  // keeps value identity; otherwise it is equal-frequency binned over its
-  // sorted order, which the view keeps for Spearman ranks.
-  std::unordered_set<double> distinct;
-  for (double v : numeric) {
-    if (!std::isnan(v)) distinct.insert(v);
-    if (distinct.size() > 32) break;
+namespace {
+
+// A numeric column with at most this many distinct values is effectively
+// categorical and keeps value identity.
+constexpr size_t kMaxIdentityValues = 32;
+
+// CodesFromValues(values) if `values` holds at most kMaxIdentityValues
+// distinct non-NaN values, else nullopt. Codes are assigned by first
+// occurrence while counting, so the column is scanned once; == matches
+// -0.0 with 0.0 exactly as CodesFromValues' hash map does.
+std::optional<std::vector<int>> IdentityCodes(
+    const std::vector<double>& values) {
+  std::vector<int> codes(values.size(), kMissingBin);
+  double seen[kMaxIdentityValues] = {};
+  size_t distinct = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double v = values[i];
+    if (std::isnan(v)) continue;
+    size_t code = 0;
+    while (code < distinct && seen[code] != v) ++code;
+    if (code == distinct) {
+      if (distinct == kMaxIdentityValues) return std::nullopt;
+      seen[distinct++] = v;
+    }
+    codes[i] = static_cast<int>(code);
   }
+  return codes;
+}
+
+}  // namespace
+
+void FeatureView::AddFeature(std::string name, std::vector<double> numeric) {
+  // A few-valued column keeps value identity; otherwise it is
+  // equal-frequency binned over its sorted order, which the view keeps for
+  // Spearman ranks.
   std::vector<uint32_t> order;
-  std::vector<int> codes;
-  if (distinct.size() <= 32) {
-    codes = CodesFromValues(numeric);
-  } else {
+  std::optional<std::vector<int>> codes = IdentityCodes(numeric);
+  if (!codes.has_value()) {
     order = SortedPresentRows(numeric);
     codes = DiscretizeEqualFrequency(numeric, order,
                                      DefaultBinCount(numeric.size()));
   }
   index_[name] = names_.size();
   names_.push_back(std::move(name));
-  codes_.push_back(std::move(codes));
+  codes_.push_back(
+      std::make_shared<const std::vector<int>>(std::move(*codes)));
   orders_.push_back(std::move(order));
   numeric_.push_back(std::move(numeric));
 }

@@ -5,7 +5,9 @@
 // theoretic metrics). A FeatureView computes both once per table so repeated
 // metric evaluations are cheap. A binned column is sorted once: the same
 // order feeds its equal-frequency bins and its Spearman ranks (DESIGN.md
-// §4.14).
+// §4.14). Codes are held by shared pointer, so the selected set R_sel and
+// the engine's per-discovery join memo keep them without copying once the
+// view itself is dropped (DESIGN.md §4.15).
 
 #ifndef AUTOFEAT_FS_FEATURE_VIEW_H_
 #define AUTOFEAT_FS_FEATURE_VIEW_H_
@@ -63,7 +65,11 @@ class FeatureView {
   /// Raw numeric values of feature f (NaN = missing).
   const std::vector<double>& numeric(size_t f) const { return numeric_[f]; }
   /// Discretised codes of feature f (kMissingBin = missing).
-  const std::vector<int>& codes(size_t f) const { return codes_[f]; }
+  const std::vector<int>& codes(size_t f) const { return *codes_[f]; }
+  /// The same codes, shared rather than copied.
+  const std::shared_ptr<const std::vector<int>>& shared_codes(size_t f) const {
+    return codes_[f];
+  }
   /// SortedPresentRows(numeric(f)) (stats/discretize.h) if feature f is
   /// equal-frequency binned; empty if it keeps value identity (at most 32
   /// distinct values), since only Spearman would read that order.
@@ -86,7 +92,7 @@ class FeatureView {
   std::vector<std::string> names_;
   std::unordered_map<std::string, size_t> index_;
   std::vector<std::vector<double>> numeric_;
-  std::vector<std::vector<int>> codes_;
+  std::vector<std::shared_ptr<const std::vector<int>>> codes_;
   std::vector<std::vector<uint32_t>> orders_;
   std::shared_ptr<const LabelBlock> label_;
 

@@ -12,6 +12,8 @@
 #ifndef AUTOFEAT_FS_REDUNDANCY_H_
 #define AUTOFEAT_FS_REDUNDANCY_H_
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,27 +41,58 @@ struct RedundancyOptions {
 };
 
 /// \brief A set of already-selected features represented by their
-/// discretised codes (what S contributes to Eq. 1).
+/// discretised codes (what S contributes to Eq. 1). Codes are shared with
+/// the view or memo entry they came from, not copied.
 struct SelectedFeatureSet {
   std::vector<std::string> names;
-  std::vector<std::vector<int>> codes;
+  std::vector<std::shared_ptr<const std::vector<int>>> codes;
 
   size_t size() const { return names.size(); }
   bool Contains(const std::string& name) const;
-  void Add(std::string name, std::vector<int> feature_codes);
+  void Add(std::string name,
+           std::shared_ptr<const std::vector<int>> feature_codes);
 };
 
-/// Greedily screens `candidates` (feature indices into `view`, typically the
-/// relevance-ranked top-kappa, in ranked order) against `selected`.
-/// Candidates with J > 0 are accepted — and immediately join S, so later
-/// candidates are also penalised for redundancy with earlier ones.
-/// Returns accepted features with their J scores; `selected` is updated.
+/// \brief The terms of Eq. 1 for one candidate X_k: its label MI and its
+/// pairwise terms against S, indexed by position in S. S only grows during
+/// a discovery, so a row stays valid; scoring the candidate again computes
+/// only the terms for features selected since (DESIGN.md §4.15).
+struct RedundancyTerms {
+  std::optional<double> relevance;  // I(X_k;Y)
+  std::vector<double> mi;           // I(X_j;X_k)
+  std::vector<double> cmi;          // I(X_j;X_k|Y): CIFE, JMI, CMIM only
+};
+
+/// \brief A candidate as the redundancy stage screens it: its name on this
+/// path, its codes, and its row of terms. Join paths reaching the same rows
+/// of the same table share codes and terms but keep their own names.
+struct RedundancyCandidate {
+  std::string name;
+  std::shared_ptr<const std::vector<int>> codes;
+  RedundancyTerms* terms = nullptr;
+};
+
+/// Greedily screens `candidates` (typically the relevance-ranked top-kappa,
+/// in ranked order) against `selected`. Candidates with J > 0 are accepted
+/// — and immediately join S, so later candidates are also penalised for
+/// redundancy with earlier ones. A candidate whose name is already in S is
+/// skipped. Returns accepted features with their J scores; `selected` and
+/// every scored candidate's terms row are updated.
+std::vector<FeatureScore> SelectNonRedundant(
+    const std::vector<RedundancyCandidate>& candidates,
+    const std::vector<int>& label_codes, SelectedFeatureSet* selected,
+    const RedundancyOptions& options);
+
+/// The same screening over features of `view` (indices, in ranked order),
+/// each starting from an empty terms row.
 std::vector<FeatureScore> SelectNonRedundant(
     const FeatureView& view, const std::vector<size_t>& candidates,
     SelectedFeatureSet* selected, const RedundancyOptions& options);
 
-/// The raw J score of a single candidate against a fixed selected set
-/// (exposed for tests and the empirical study of §V-D).
+/// The raw J score of a single candidate against a fixed selected set,
+/// computed from an empty terms row (exposed for tests and the empirical
+/// study of §V-D). Bitwise equal to the J SelectNonRedundant computes for
+/// the same codes against the same S.
 double RedundancyScore(const std::vector<int>& candidate_codes,
                        const std::vector<int>& label_codes,
                        const std::vector<std::vector<int>>& selected_codes,

@@ -10,6 +10,7 @@
 #ifndef AUTOFEAT_FS_STREAMING_H_
 #define AUTOFEAT_FS_STREAMING_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,22 @@
 #include "util/status.h"
 
 namespace autofeat {
+
+/// \brief One batch of features after its relevance analysis, by position:
+/// codes, raw relevance scores and the redundancy-term rows. Names are not
+/// part of it, so join paths reaching the same rows of the same table under
+/// different (collision-renamed) names share one (DESIGN.md §4.15).
+/// Numeric values and sort orders are not kept: nothing after relevance
+/// scoring reads them.
+struct ScoredColumns {
+  std::vector<std::shared_ptr<const std::vector<int>>> codes;
+  /// ScoreRelevance's per-feature score before SelectKBest; 0 when the
+  /// relevance stage is off.
+  std::vector<double> relevance;
+  /// One row per feature, grown by CommitBatch as R_sel grows.
+  std::vector<RedundancyTerms> terms;
+  std::shared_ptr<const LabelBlock> label;
+};
 
 /// \brief Incremental relevance+redundancy pipeline maintaining R_sel.
 class StreamingFeatureSelector {
@@ -54,25 +71,26 @@ class StreamingFeatureSelector {
   /// Algorithm 1 initialises R_sel from T_0.
   void SeedWithBaseFeatures(const FeatureView& view);
 
-  /// Runs the pipeline on the features of `view` at `new_feature_indices`.
-  /// Equivalent to CommitBatch(view, ScoreBatchRelevance(view, indices)).
+  /// Runs the pipeline on the features of `view` at `new_feature_indices`:
+  /// CommitBatch over their names and ScoreColumns(view, indices).
   BatchResult ProcessBatch(const FeatureView& view,
                            const std::vector<size_t>& new_feature_indices);
 
-  /// Relevance stage alone: ranks the incoming features against the label
-  /// and keeps the top-kappa. Depends only on `view` and the options — not
-  /// on R_sel — so batches can be scored concurrently (const, thread-safe)
-  /// and committed later in deterministic order.
-  std::vector<FeatureScore> ScoreBatchRelevance(
-      const FeatureView& view,
-      const std::vector<size_t>& new_feature_indices) const;
+  /// The name-free part of the relevance stage: scores the features of
+  /// `view` at `feature_indices` against the label. Depends only on `view`
+  /// and the options — not on R_sel — so batches can be scored concurrently
+  /// (const, thread-safe) and committed later in deterministic order.
+  ScoredColumns ScoreColumns(const FeatureView& view,
+                             const std::vector<size_t>& feature_indices) const;
 
-  /// Redundancy stage: screens an already-scored relevant set against R_sel
-  /// and commits the survivors to it. Order-sensitive and stateful — callers
-  /// parallelising the relevance stage must invoke this sequentially, in the
+  /// Keeps the top-kappa of `columns` under `names` (this batch's names,
+  /// one per column: SelectKBest breaks ties by name), then screens them
+  /// against R_sel and commits the survivors to it, growing the terms rows
+  /// of `columns` it scores. Order-sensitive and stateful — callers
+  /// scoring batches concurrently must invoke this sequentially, in the
   /// same batch order a sequential run would use.
-  BatchResult CommitBatch(const FeatureView& view,
-                          std::vector<FeatureScore> relevant);
+  BatchResult CommitBatch(const std::vector<std::string>& names,
+                          ScoredColumns* columns);
 
   const SelectedFeatureSet& selected() const { return selected_; }
   SelectedFeatureSet* mutable_selected() { return &selected_; }

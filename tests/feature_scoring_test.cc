@@ -177,6 +177,14 @@ std::vector<std::pair<std::string, std::vector<double>>> FeatureColumns(
   std::vector<double> d33_nan = ExactlyDistinct(n, 33, &rng);
   SprinkleNans(&d33_nan, 0.1, &rng);
   add("distinct_33_nan", d33_nan);
+  // 32 values under == but 33 bit patterns: -0.0 shares 0.0's code, so the
+  // column keeps value identity.
+  std::vector<double> d32_zero = ExactlyDistinct(n, 32, &rng);
+  size_t zeros_seen = 0;
+  for (double& x : d32_zero) {
+    if (x == 0.0 && zeros_seen++ % 2 == 1) x = -0.0;
+  }
+  add("distinct_32_signed_zero", d32_zero);
   add("constant", std::vector<double>(n, 2.5));
   add("all_nan", std::vector<double>(n, kNan));
   std::vector<double> infinite = normal;

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "stats/discretize.h"
 #include "util/rng.h"
 
 namespace autofeat {
@@ -142,7 +150,7 @@ TEST(RedundancyTest, MrmrPenaltyShrinksWithSelectedSetSize) {
 TEST(SelectedFeatureSetTest, AddAndContains) {
   SelectedFeatureSet s;
   EXPECT_EQ(s.size(), 0u);
-  s.Add("a", {0, 1});
+  s.Add("a", std::make_shared<const std::vector<int>>(std::vector<int>{0, 1}));
   EXPECT_TRUE(s.Contains("a"));
   EXPECT_FALSE(s.Contains("b"));
   EXPECT_EQ(s.size(), 1u);
@@ -185,12 +193,101 @@ TEST(SelectNonRedundantTest, AlreadySelectedNameSkipped) {
   t.AddColumn("label", std::move(l)).Abort();
   auto view = FeatureView::FromTable(t, "label");
   SelectedFeatureSet selected;
-  selected.Add("x", fix.informative);
+  selected.Add("x", std::make_shared<const std::vector<int>>(fix.informative));
   auto accepted =
       SelectNonRedundant(*view, {0}, &selected, RedundancyOptions{});
   EXPECT_TRUE(accepted.empty());
   EXPECT_EQ(selected.size(), 1u);
 }
+
+// The memoised screening keeps one terms row per distinct feature and
+// extends it only by the features selected since its last scoring. Seeded
+// batch sequences, in which features recur under fresh or repeated names as
+// S grows, must accept exactly what greedy screening with fresh
+// RedundancyScore calls accepts, with bitwise-equal J.
+class MemoisedScreeningTest : public ::testing::TestWithParam<RedundancyKind> {
+};
+
+TEST_P(MemoisedScreeningTest, MatchesFreshScoresBitwise) {
+  constexpr size_t kRows = 600;
+  constexpr size_t kPool = 12;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    std::vector<int> label(kRows);
+    for (size_t i = 0; i < kRows; ++i) label[i] = static_cast<int>(i % 3);
+    // Noisy copies of the label (independent noise, so several add
+    // information), their duplicates and pure noise, some with missing rows.
+    std::vector<std::shared_ptr<const std::vector<int>>> pool;
+    for (size_t p = 0; p < kPool; ++p) {
+      std::vector<int> codes(kRows);
+      double flip = 0.15 + 0.05 * static_cast<double>(p % 4);
+      for (size_t i = 0; i < kRows; ++i) {
+        if (p % 4 == 3) {
+          codes[i] = static_cast<int>(rng.UniformInt(0, 4));
+        } else {
+          codes[i] = rng.Bernoulli(flip)
+                         ? static_cast<int>(rng.UniformInt(0, 2))
+                         : label[i];
+        }
+        if (p % 5 == 4 && rng.Bernoulli(0.1)) codes[i] = kMissingBin;
+      }
+      if (p % 6 == 5) codes = *pool[p - 1];  // exact duplicate
+      pool.push_back(std::make_shared<const std::vector<int>>(codes));
+    }
+
+    RedundancyOptions options;
+    options.kind = GetParam();
+    std::vector<RedundancyTerms> rows(kPool);
+    SelectedFeatureSet memo_selected;
+    std::vector<std::string> fresh_names;
+    std::vector<std::vector<int>> fresh_codes;
+    for (size_t batch = 0; batch < 10; ++batch) {
+      std::vector<RedundancyCandidate> candidates;
+      size_t width = 1 + static_cast<size_t>(rng.UniformInt(0, 3));
+      for (size_t k = 0; k < width; ++k) {
+        size_t p = rng.UniformIndex(kPool);
+        // A recurring feature keeps its name half the time (then Contains
+        // skips it once selected) and is renamed otherwise.
+        std::string name = "f" + std::to_string(p);
+        if (rng.Bernoulli(0.5)) name += "#" + std::to_string(batch);
+        candidates.push_back({name, pool[p], &rows[p]});
+      }
+      std::vector<FeatureScore> memoised =
+          SelectNonRedundant(candidates, label, &memo_selected, options);
+
+      std::vector<FeatureScore> fresh;
+      for (const RedundancyCandidate& c : candidates) {
+        if (std::find(fresh_names.begin(), fresh_names.end(), c.name) !=
+            fresh_names.end()) {
+          continue;
+        }
+        double j = RedundancyScore(*c.codes, label, fresh_codes, options);
+        if (j > 0.0) {
+          fresh.push_back({c.name, j});
+          fresh_names.push_back(c.name);
+          fresh_codes.push_back(*c.codes);
+        }
+      }
+      ASSERT_EQ(memoised.size(), fresh.size())
+          << "seed " << seed << " batch " << batch;
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(memoised[i].name, fresh[i].name);
+        EXPECT_EQ(std::bit_cast<uint64_t>(memoised[i].score),
+                  std::bit_cast<uint64_t>(fresh[i].score))
+            << memoised[i].name << " seed " << seed << " batch " << batch;
+      }
+    }
+    EXPECT_EQ(memo_selected.names, fresh_names);
+    EXPECT_GE(memo_selected.size(), 2u) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, MemoisedScreeningTest,
+    ::testing::Values(RedundancyKind::kMifs, RedundancyKind::kMrmr,
+                      RedundancyKind::kCife, RedundancyKind::kJmi,
+                      RedundancyKind::kCmim),
+    [](const auto& info) { return RedundancyKindName(info.param); });
 
 TEST(RedundancyTest, KindNames) {
   EXPECT_STREQ(RedundancyKindName(RedundancyKind::kMrmr), "MRMR");

@@ -129,11 +129,12 @@ int Run() {
   record("hist_gh_simd", hist_simd);
 
   // --- MinHash signatures (64 derivation streams per value). ---
-  ColumnSketch sketch;
-  sketch.num_distinct = 2000;
-  for (size_t v = 0; v < sketch.num_distinct; ++v) {
-    sketch.values.insert("value_" + std::to_string(v));
+  std::vector<std::string> sketch_values;
+  for (size_t v = 0; v < 2000; ++v) {
+    sketch_values.push_back("value_" + std::to_string(v));
   }
+  const ColumnSketch sketch =
+      BuildColumnSketch(Column::Strings(sketch_values), /*max_sample=*/4096);
   double mh_ref = MinSeconds(reps, [&] {
     MinHashSignature sig = ComputeMinHashSignatureReference(sketch, 64);
     g_sink += static_cast<double>(sig.mins[0]);

@@ -57,6 +57,7 @@
 #include "obs/event_log.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace autofeat {
@@ -253,13 +254,14 @@ class BudgetedCache {
     }
   }
 
-  /// Evicts the resident entries whose key hash differs from `draw` in the
-  /// low bit — a deterministic function of (resident set, draw); `draw` and
+  /// Evicts the resident entries whose FNV-1a key hash (stable across
+  /// standard libraries, unlike std::hash) differs from `draw` in the low
+  /// bit — a deterministic function of (resident set, draw); `draw` and
   /// `draw ^ 1` evict complementary halves.
   void EvictRandomHalf(uint64_t draw) {
     std::lock_guard<std::mutex> lock(state_->mutex);
     for (auto& [key, entry] : state_->entries) {
-      if (entry->value != nullptr && ((KeyHash(key) ^ draw) & 1) != 0) {
+      if (entry->value != nullptr && ((Fnv1a64(key) ^ draw) & 1) != 0) {
         EvictLocked(key, entry.get());
       }
     }
@@ -303,17 +305,6 @@ class BudgetedCache {
     size_t resident_bytes = 0;
     uint64_t tick = 0;
   };
-
-  // FNV-1a: a stable key hash for EvictRandomHalf (std::hash may differ
-  // across standard libraries).
-  static uint64_t KeyHash(const std::string& key) {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    for (unsigned char c : key) {
-      h ^= c;
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  }
 
   void Account(int64_t delta) {
     obs::AddBytesWithPeak(bytes_, bytes_peak_, delta);

@@ -14,22 +14,13 @@ namespace autofeat {
 
 namespace {
 
-// FNV-1a over "table\0column": a stable per-entry stream id, so the
+// FNV-1a over "table\0column\0": a stable per-entry stream id, so the
 // representative draws do not depend on which caller builds an entry first
 // (and rebuilds after eviction reproduce the exact same index).
 uint64_t EntryStream(const std::string& table, const std::string& column) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  auto mix = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 0x100000001B3ULL;
-    }
-    h ^= 0;  // the '\0' separator
-    h *= 0x100000001B3ULL;
-  };
-  mix(table);
-  mix(column);
-  return h;
+  constexpr std::string_view kSeparator("\0", 1);
+  uint64_t h = Fnv1a64(kSeparator, Fnv1a64(table));
+  return Fnv1a64(kSeparator, Fnv1a64(column, h));
 }
 
 }  // namespace

@@ -13,28 +13,17 @@
 
 namespace autofeat {
 
-uint64_t LshValueHash(const std::string& value) {
-  // FNV-1a 64: platform-stable, unlike std::hash (whose result may differ
-  // across standard libraries and would leak into the candidate list).
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : value) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
                                          size_t num_hashes) {
   MinHashSignature sig;
-  if (sketch.values.empty() || num_hashes == 0) return sig;
+  if (sketch.hashes.empty() || num_hashes == 0) return sig;
   sig.mins.assign(num_hashes, ~uint64_t{0});
-  for (const auto& value : sketch.values) {
+  for (uint64_t h : sketch.hashes) {
     // Batched over the derivation streams: the vector kernel re-derives the
     // splitmix64 finaliser in 64-bit lanes, bit-exact with DeriveSeed — the
     // signatures feed the candidate list and must not depend on the
     // build's ISA.
-    simd::MinHashUpdate(LshValueHash(value), sig.mins.data(), num_hashes);
+    simd::MinHashUpdate(h, sig.mins.data(), num_hashes);
   }
   return sig;
 }
@@ -42,13 +31,11 @@ MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
 MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
                                                   size_t num_hashes) {
   MinHashSignature sig;
-  if (sketch.values.empty() || num_hashes == 0) return sig;
+  if (sketch.hashes.empty() || num_hashes == 0) return sig;
   sig.mins.assign(num_hashes, ~uint64_t{0});
-  for (const auto& value : sketch.values) {
-    uint64_t base = LshValueHash(value);
+  for (uint64_t h : sketch.hashes) {
     for (size_t k = 0; k < num_hashes; ++k) {
-      uint64_t h = DeriveSeed(base, k);
-      if (h < sig.mins[k]) sig.mins[k] = h;
+      sig.mins[k] = std::min(sig.mins[k], DeriveSeed(h, k));
     }
   }
   return sig;
@@ -74,13 +61,13 @@ uint64_t BandContentHash(const uint64_t* mins, size_t rows) {
   return h;
 }
 
-// Shared by Build and the pairwise profile path — the two must agree on
-// which columns enter buckets for the candidate decisions to be identical.
-bool RescuedByContainment(const ColumnSketch& sketch,
-                          const LshOptions& options) {
-  return options.small_column_rescue > 0 && !sketch.values.empty() &&
-         sketch.num_distinct >= options.min_distinct &&
-         sketch.num_distinct <= options.small_column_rescue;
+// The optional FREYJA-style bound: false when the two distinct counts
+// differ by more than options.max_cardinality_ratio.
+bool WithinCardinalityRatio(uint64_t a, uint64_t b,
+                            const LshOptions& options) {
+  if (options.max_cardinality_ratio <= 0) return true;
+  return static_cast<double>(std::max(a, b)) <=
+         options.max_cardinality_ratio * static_cast<double>(std::min(a, b));
 }
 
 }  // namespace
@@ -94,7 +81,13 @@ ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
   if (sketch.num_distinct >= options.min_distinct) {
     sig = ComputeMinHashSignature(sketch, options.num_hashes());
   }
-  const bool rescued = RescuedByContainment(sketch, options);
+  // Small-column rescue: every sketch hash gets its own bucket, so two
+  // rescued columns whose sketches intersect at all are guaranteed a
+  // collision, covering asymmetric containment joins banding would miss.
+  const bool rescued = options.small_column_rescue > 0 &&
+                       !sketch.hashes.empty() &&
+                       sketch.num_distinct >= options.min_distinct &&
+                       sketch.num_distinct <= options.small_column_rescue;
   if (sig.empty() && !rescued) return profile;
   profile.indexed = true;
   const uint64_t group = type != DataType::kDouble ? 1 : 0;
@@ -106,10 +99,9 @@ ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
     profile.bucket_keys.push_back(DeriveSeed(content, 2 * b + group));
   }
   if (rescued) {
-    const uint64_t rescue_stream_base = 2 * options.num_bands;
-    for (const auto& value : sketch.values) {
-      profile.bucket_keys.push_back(
-          DeriveSeed(LshValueHash(value), rescue_stream_base + group));
+    const uint64_t rescue_stream = 2 * options.num_bands + group;
+    for (uint64_t h : sketch.hashes) {
+      profile.bucket_keys.push_back(DeriveSeed(h, rescue_stream));
     }
   }
   std::sort(profile.bucket_keys.begin(), profile.bucket_keys.end());
@@ -130,13 +122,8 @@ std::vector<ColumnLshProfile> ComputeTableLshProfiles(
 bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b,
                         const LshOptions& options) {
   if (!a.indexed || !b.indexed) return false;
-  if (options.max_cardinality_ratio > 0) {
-    uint64_t lo = std::min(a.num_distinct, b.num_distinct);
-    uint64_t hi = std::max(a.num_distinct, b.num_distinct);
-    if (static_cast<double>(hi) >
-        options.max_cardinality_ratio * static_cast<double>(lo)) {
-      return false;
-    }
+  if (!WithinCardinalityRatio(a.num_distinct, b.num_distinct, options)) {
+    return false;
   }
   // Sorted-list intersection over the bucket keys.
   size_t i = 0, j = 0;
@@ -169,71 +156,39 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
                                            obs::MetricsRegistry* metrics) {
   LshCandidateIndex index;
   const auto& tables = lake.tables();
-  const size_t num_hashes = options.num_hashes();
 
-  // Stage 1: per-column MinHash signatures, one task per table. Each slot is
-  // written by exactly one task and the signature is a pure function of the
-  // column's sketch, so the fan-out is thread-count-independent.
-  std::vector<std::vector<MinHashSignature>> signatures(tables.size());
+  // Stage 1: per-column profiles, one task per table. Each slot is written
+  // by exactly one task and a profile is a pure function of the column's
+  // sketch, so the fan-out is thread-count-independent.
+  std::vector<std::vector<ColumnLshProfile>> profiles(tables.size());
   obs::Tracer* tracer = pool != nullptr ? pool->tracer() : nullptr;
   obs::TaskContext ctx =
       obs::CaptureTaskContext(tables.empty() ? nullptr : tracer);
   ParallelFor(pool, 0, tables.size(), /*grain=*/1, [&](size_t t) {
     obs::ScopedWorkerSpan span(ctx, "sketch.minhash");
     LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
-    const auto& sketches = *pin;
-    std::vector<MinHashSignature> sigs(sketches.size());
-    for (size_t c = 0; c < sketches.size(); ++c) {
-      if (sketches[c].num_distinct < options.min_distinct) continue;
-      sigs[c] = ComputeMinHashSignature(sketches[c], num_hashes);
-    }
-    signatures[t] = std::move(sigs);
+    profiles[t] = ComputeTableLshProfiles(tables[t], *pin, options);
   });
 
-  // Stage 2: banding + small-column rescue, sequential (bucket fill is
-  // cheap relative to signature hashing; a shared hash map is not worth the
-  // synchronisation). Bucket keys live in one keyspace, separated by
-  // derivation stream: band b of type group g uses stream 2b+g, the two
-  // rescue streams come after every band stream. Key-like columns
-  // (int64/string) and doubles never share buckets, mirroring the matcher's
-  // join-plausibility filter.
+  // Stage 2: file every indexed column under its profile's bucket keys,
+  // sequentially (bucket fill is cheap relative to signature hashing; a
+  // shared hash map is not worth the synchronisation).
   std::unordered_map<uint64_t, std::vector<ColumnRef>> buckets;
-  const uint64_t rescue_stream_base = 2 * options.num_bands;
   for (size_t t = 0; t < tables.size(); ++t) {
-    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
-    const auto& sketches = *pin;
-    for (size_t c = 0; c < sketches.size(); ++c) {
-      const ColumnSketch& sketch = sketches[c];
-      const MinHashSignature& sig = signatures[t][c];
-      bool rescued = RescuedByContainment(sketch, options);
-      if (sig.empty() && !rescued) {
+    for (size_t c = 0; c < profiles[t].size(); ++c) {
+      const ColumnLshProfile& profile = profiles[t][c];
+      if (!profile.indexed) {
         ++index.columns_skipped_;
         continue;
       }
       ++index.columns_indexed_;
-      index.signature_bytes_ += sig.ApproxBytes();
-      uint64_t group =
-          tables[t].schema().field(c).type != DataType::kDouble ? 1 : 0;
+      // An indexed column carries a full-width signature.
+      index.signature_bytes_ +=
+          sizeof(MinHashSignature) + options.num_hashes() * sizeof(uint64_t);
       ColumnRef ref{static_cast<uint32_t>(t), static_cast<uint32_t>(c),
-                    sketch.num_distinct};
-      for (size_t b = 0; b * options.rows_per_band < sig.mins.size(); ++b) {
-        uint64_t content = BandContentHash(
-            sig.mins.data() + b * options.rows_per_band,
-            std::min(options.rows_per_band,
-                     sig.mins.size() - b * options.rows_per_band));
-        buckets[DeriveSeed(content, 2 * b + group)].push_back(ref);
-        ++index.bucket_entries_;
-      }
-      if (rescued) {
-        // Every sketch value gets its own bucket: two rescued columns whose
-        // sketches intersect at all are guaranteed a collision, covering
-        // asymmetric containment joins banding would miss.
-        for (const auto& value : sketch.values) {
-          buckets[DeriveSeed(LshValueHash(value), rescue_stream_base + group)]
-              .push_back(ref);
-          ++index.bucket_entries_;
-        }
-      }
+                    profile.num_distinct};
+      for (uint64_t key : profile.bucket_keys) buckets[key].push_back(ref);
+      index.bucket_entries_ += profile.bucket_keys.size();
     }
   }
 
@@ -247,13 +202,9 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
     for (size_t a = 0; a < refs.size(); ++a) {
       for (size_t b = a + 1; b < refs.size(); ++b) {
         if (refs[a].table == refs[b].table) continue;
-        if (options.max_cardinality_ratio > 0) {
-          uint64_t lo = std::min(refs[a].num_distinct, refs[b].num_distinct);
-          uint64_t hi = std::max(refs[a].num_distinct, refs[b].num_distinct);
-          if (static_cast<double>(hi) >
-              options.max_cardinality_ratio * static_cast<double>(lo)) {
-            continue;
-          }
+        if (!WithinCardinalityRatio(refs[a].num_distinct,
+                                    refs[b].num_distinct, options)) {
+          continue;
         }
         ++index.bucket_collisions_;
         pairs.emplace_back(std::min(refs[a].table, refs[b].table),

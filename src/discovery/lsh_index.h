@@ -3,10 +3,10 @@
 // All-pairs discovery scores every table pair — O(n²) in the number of
 // tables — which caps lake size long before memory does. This module is the
 // cheap first stage of a two-stage pipeline (FREYJA-style): fixed-width
-// MinHash signatures are computed per column from the same bottom-k value
-// sketches the exact matcher scores with, banded into an LSH table, and
-// every band-bucket collision between columns of two different tables makes
-// that *table pair* a candidate. Exact scoring (MatchSchemas /
+// MinHash signatures are computed per column from the same hash-native
+// profile the exact matcher scores with (ColumnSketch), banded into an LSH
+// table, and every band-bucket collision between columns of two different
+// tables makes that *table pair* a candidate. Exact scoring (MatchSchemas /
 // MatchByValueOverlap) then runs only on candidates.
 //
 // Soundness: with the default MatchOptions weights, a reported edge needs
@@ -20,15 +20,19 @@
 //  * small-column rescue — asymmetric containment (a tiny FK domain inside
 //    a large PK range) has near-zero Jaccard, so columns with at most
 //    `small_column_rescue` distinct values additionally index every sketch
-//    value: any column pair (of rescued columns) whose sketches intersect
+//    hash: any column pair (of rescued columns) whose sketches intersect
 //    at all is guaranteed to collide.
 //
-// Determinism: signatures reuse the hash discipline of BuildColumnSketch —
-// pure functions of the column's distinct-value set via FNV-1a + the
-// DeriveSeed (splitmix64) finaliser, never std::hash — and the candidate
-// pair list is sorted and deduplicated, so the output (and every counter
-// derived from it) is byte-identical at any thread count and across
-// platforms.
+// One banding path: ComputeColumnLshProfile is the only code that derives
+// bucket keys. The cold index files every column's profile into buckets;
+// the serving layer intersects profiles pairwise. Both therefore make the
+// same candidate decisions by construction.
+//
+// Determinism: every key is derived from the profile's stored hashes
+// (SketchValueHash: FNV-1a + the splitmix64 finaliser, never std::hash)
+// through DeriveSeed, and the candidate pair list is sorted and
+// deduplicated, so the output (and every counter derived from it) is
+// byte-identical at any thread count and across platforms.
 
 #ifndef AUTOFEAT_DISCOVERY_LSH_INDEX_H_
 #define AUTOFEAT_DISCOVERY_LSH_INDEX_H_
@@ -76,24 +80,17 @@ struct LshOptions {
 };
 
 /// \brief Fixed-width MinHash signature of one column sketch. `mins[k]` is
-/// the minimum of the k-th derived hash over the sketch's values; empty
+/// the minimum of the k-th derived hash over the sketch's hashes; empty
 /// when the column was not indexed (empty sketch or filtered out).
 struct MinHashSignature {
   std::vector<uint64_t> mins;
 
   bool empty() const { return mins.empty(); }
-  size_t ApproxBytes() const {
-    return sizeof(MinHashSignature) + mins.size() * sizeof(uint64_t);
-  }
 };
 
-/// Platform-stable 64-bit FNV-1a of a value string (the per-value base hash
-/// every derived MinHash row mixes from).
-uint64_t LshValueHash(const std::string& value);
-
-/// Signature of one sketch: mins[k] = min over values of
-/// DeriveSeed(LshValueHash(v), k). Pure function of the sketch's value set.
-/// The derivation streams are batched through the SIMD MinHash kernel.
+/// Signature of one sketch: mins[k] = min over the stored hashes h of
+/// DeriveSeed(h, k). Pure function of the sketch's hash set. The derivation
+/// streams are batched through the SIMD MinHash kernel.
 MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
                                          size_t num_hashes);
 
@@ -102,8 +99,8 @@ MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
 MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
                                                   size_t num_hashes);
 
-/// \brief Pairwise view of one column's LSH state: the exact set of bucket
-/// keys LshCandidateIndex::Build would file the column under.
+/// \brief One column's LSH state: the exact set of bucket keys
+/// LshCandidateIndex::Build files the column under.
 ///
 /// The serving layer's incremental matcher cannot afford to rebuild the
 /// whole lake-wide index per mutation, but it must reproduce the cold
@@ -113,16 +110,15 @@ MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
 /// their profiles share a bucket key, so candidate generation for a touched
 /// table is a pairwise check against every other table's cached profiles.
 struct ColumnLshProfile {
-  /// Sorted bucket keys (band streams + rescue streams, group-separated —
-  /// see LshCandidateIndex::Build stage 2).
+  /// Sorted bucket keys in one keyspace, separated by derivation stream:
+  /// band b of type group g is DeriveSeed(band content, 2b + g); each
+  /// rescued sketch hash h is DeriveSeed(h, 2 * num_bands + g). Key-like
+  /// columns (int64/string, g = 1) and doubles (g = 0) never share a key,
+  /// mirroring the matcher's join-plausibility filter.
   std::vector<uint64_t> bucket_keys;
   uint64_t num_distinct = 0;
   /// False when the column enters no bucket (empty/filtered sketch).
   bool indexed = false;
-
-  size_t ApproxBytes() const {
-    return sizeof(ColumnLshProfile) + bucket_keys.size() * sizeof(uint64_t);
-  }
 };
 
 /// The profile Build would index this column under. Pure function of
@@ -152,20 +148,20 @@ bool LshTablesCollide(const std::vector<ColumnLshProfile>& a,
 /// table pairs for exact DRG scoring.
 class LshCandidateIndex {
  public:
-  /// Builds signatures for every column of `lake` (in parallel over tables
-  /// when `pool` is given; results identical at any thread count) over the
-  /// sketches in `cache`, bands them, and materialises the sorted,
-  /// deduplicated candidate table-pair list.
+  /// Computes every column's ColumnLshProfile (in parallel over tables when
+  /// `pool` is given; results identical at any thread count) over the
+  /// sketches in `cache`, files each profile's bucket keys, and
+  /// materialises the sorted, deduplicated candidate table-pair list.
   ///
   /// A non-null `metrics` records `lsh.bands` (configured band count),
   /// `lsh.signature_bytes` (total signature footprint), `lsh.columns_indexed`
   /// / `lsh.columns_skipped` (prefilter effect), `lsh.bucket_collisions`
   /// (cross-table column collisions before table-pair dedup) and maintains
   /// the `lsh_index.bytes` / `.bytes_peak` gauges from ApproxBytes().
-  /// Signature building records `sketch.minhash` worker spans into the
+  /// Profile building records `sketch.minhash` worker spans into the
   /// pool's tracer, when both exist. `cache` is non-const because sketches
   /// build (and, under a memory budget, rebuild) lazily on request; the
-  /// index pins each table's entry only while signing it.
+  /// index pins each table's entry only while profiling it.
   static LshCandidateIndex Build(const DataLake& lake,
                                  LakeSketchCache& cache,
                                  const LshOptions& options,

@@ -18,12 +18,12 @@ std::vector<ColumnMatch> MatchByValueOverlap(
     const Field& lf = left.schema().field(lc);
     if (lf.type == DataType::kDouble) continue;  // Keys only.
     const ColumnSketch& sl = left_sketches[lc];
-    if (sl.values.size() < options.min_distinct) continue;
+    if (sl.hashes.size() < options.min_distinct) continue;
     for (size_t rc = 0; rc < right.num_columns(); ++rc) {
       const Field& rf = right.schema().field(rc);
       if (rf.type == DataType::kDouble) continue;
       const ColumnSketch& sr = right_sketches[rc];
-      if (sr.values.size() < options.min_distinct) continue;
+      if (sr.hashes.size() < options.min_distinct) continue;
 
       double score = options.jaccard_weight * SketchJaccard(sl, sr) +
                      (1.0 - options.jaccard_weight) *
@@ -45,17 +45,9 @@ std::vector<ColumnMatch> MatchByValueOverlap(
     const OverlapMatchOptions& options) {
   // Sketch both sides once up front: the naive nested loop re-sketched every
   // right column once per left column (O(L·R) column scans instead of L+R).
-  auto sketch_table = [&](const Table& t) {
-    std::vector<ColumnSketch> sketches;
-    sketches.reserve(t.num_columns());
-    for (size_t c = 0; c < t.num_columns(); ++c) {
-      sketches.push_back(
-          BuildColumnSketch(t.column(c), options.max_sample_values));
-    }
-    return sketches;
-  };
-  return MatchByValueOverlap(left, sketch_table(left), right,
-                             sketch_table(right), options);
+  return MatchByValueOverlap(
+      left, SketchTable(left, options.max_sample_values), right,
+      SketchTable(right, options.max_sample_values), options);
 }
 
 }  // namespace autofeat

@@ -78,16 +78,8 @@ std::vector<ColumnMatch> MatchSchemas(
 
 std::vector<ColumnMatch> MatchSchemas(const Table& left, const Table& right,
                                       const MatchOptions& options) {
-  auto sketch_table = [&](const Table& t) {
-    std::vector<ColumnSketch> sketches;
-    sketches.reserve(t.num_columns());
-    for (size_t c = 0; c < t.num_columns(); ++c) {
-      sketches.push_back(
-          BuildColumnSketch(t.column(c), options.max_sample_values));
-    }
-    return sketches;
-  };
-  return MatchSchemas(left, sketch_table(left), right, sketch_table(right),
+  return MatchSchemas(left, SketchTable(left, options.max_sample_values),
+                      right, SketchTable(right, options.max_sample_values),
                       options);
 }
 

@@ -1,7 +1,6 @@
 #include "discovery/sketch_cache.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "discovery/data_lake.h"
@@ -12,55 +11,63 @@ namespace autofeat {
 
 ColumnSketch BuildColumnSketch(const Column& col, size_t max_sample) {
   ColumnSketch sketch;
-  std::unordered_set<std::string> values;
+  std::vector<uint64_t>& hashes = sketch.hashes;
+  hashes.reserve(col.size());
   for (size_t i = 0; i < col.size(); ++i) {
-    if (!col.IsNull(i)) values.insert(col.KeyAt(i));
+    if (!col.IsNull(i)) hashes.push_back(SketchValueHash(col.KeyAt(i)));
   }
-  sketch.num_distinct = values.size();
-  if (values.size() <= max_sample) {
-    sketch.values = std::move(values);
-    return sketch;
-  }
-  // Bottom-k by hash: the kept set is a deterministic function of the value
-  // set (ranking by (hash, value) has no ties across distinct values).
-  std::vector<std::pair<size_t, std::string>> hashed;
-  hashed.reserve(values.size());
-  std::hash<std::string> hasher;
-  for (auto& v : values) hashed.emplace_back(hasher(v), v);
-  std::nth_element(hashed.begin(),
-                   hashed.begin() + static_cast<ptrdiff_t>(max_sample),
-                   hashed.end());
-  for (size_t i = 0; i < max_sample; ++i) {
-    sketch.values.insert(std::move(hashed[i].second));
-  }
+  std::sort(hashes.begin(), hashes.end());
+  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+  sketch.num_distinct = hashes.size();
+  if (hashes.size() > max_sample) hashes.resize(max_sample);
+  hashes.shrink_to_fit();
   return sketch;
+}
+
+std::vector<ColumnSketch> SketchTable(const Table& table, size_t max_sample) {
+  std::vector<ColumnSketch> sketches;
+  sketches.reserve(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    sketches.push_back(BuildColumnSketch(table.column(c), max_sample));
+  }
+  return sketches;
 }
 
 namespace {
 
+// |A ∩ B| by one merge over the two ascending hash lists.
 size_t SketchIntersection(const ColumnSketch& a, const ColumnSketch& b) {
-  const auto& small = a.values.size() <= b.values.size() ? a.values : b.values;
-  const auto& large = a.values.size() <= b.values.size() ? b.values : a.values;
   size_t inter = 0;
-  for (const auto& v : small) inter += large.count(v);
+  auto i = a.hashes.begin();
+  auto j = b.hashes.begin();
+  while (i != a.hashes.end() && j != b.hashes.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      ++inter;
+      ++i;
+      ++j;
+    }
+  }
   return inter;
 }
 
 }  // namespace
 
 double SketchContainment(const ColumnSketch& a, const ColumnSketch& b) {
-  if (a.values.empty() || b.values.empty()) return 0.0;
-  size_t smaller = std::min(a.values.size(), b.values.size());
+  if (a.hashes.empty() || b.hashes.empty()) return 0.0;
+  size_t smaller = std::min(a.hashes.size(), b.hashes.size());
   return static_cast<double>(SketchIntersection(a, b)) /
          static_cast<double>(smaller);
 }
 
 double SketchJaccard(const ColumnSketch& a, const ColumnSketch& b) {
-  if (a.values.empty() && b.values.empty()) return 0.0;
+  if (a.hashes.empty() && b.hashes.empty()) return 0.0;
   size_t inter = SketchIntersection(a, b);
-  size_t uni = a.values.size() + b.values.size() - inter;
-  return uni == 0 ? 0.0
-                  : static_cast<double>(inter) / static_cast<double>(uni);
+  size_t uni = a.hashes.size() + b.hashes.size() - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 LakeSketchCache::LakeSketchCache(const DataLake* lake, size_t max_sample,
@@ -90,12 +97,11 @@ LakeSketchCache::TableSketchesPin LakeSketchCache::GetOrBuildWithTick(
   auto build = [&](bool) -> Result<BudgetedCache<Sketches>::Built> {
     obs::ScopedWorkerSpan span(pool != nullptr ? pool->tracer() : nullptr,
                                "sketch.table");
-    auto sketches = std::make_shared<Sketches>();
-    sketches->reserve(table.num_columns());
+    auto sketches =
+        std::make_shared<Sketches>(SketchTable(table, max_sample_));
     size_t footprint = sizeof(Sketches);
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      sketches->push_back(BuildColumnSketch(table.column(c), max_sample_));
-      footprint += sketches->back().ApproxBytes();
+    for (const ColumnSketch& sketch : *sketches) {
+      footprint += sketch.ApproxBytes();
     }
     // `builds` / `rebuilds` count sketched columns.
     return BudgetedCache<Sketches>::Built{std::move(sketches), footprint,

@@ -1,19 +1,22 @@
-// Precomputed distinct-value sketches for DRG construction, with an
-// optional memory budget enforced by LRU eviction + rebuild-on-miss.
+// Precomputed column profiles for DRG construction, with an optional
+// memory budget enforced by LRU eviction + rebuild-on-miss.
 //
 // All-pairs joinability matching is quadratic in the number of tables, and
 // the naive formulation re-scans (and re-sketches) each column once per
 // table pair it participates in. A LakeSketchCache computes every column's
-// bottom-k-by-hash sketch once per residency — in parallel over tables when
-// a ThreadPool is given — so pair scoring degenerates to set intersections
-// over cached sketches. The sketch keeps the values with the smallest
-// hashes, so the *same* values survive on both sides of any comparison and
-// containment/Jaccard estimates are stable under sampling (see
-// schema_matcher.h).
+// profile once per residency — in parallel over tables when a ThreadPool is
+// given — so pair scoring degenerates to merge-intersections over cached
+// profiles.
+//
+// A profile is the sorted bottom-k of one specified value hash over the
+// column's distinct keys. Pair scoring and LSH (lsh_index.h) both read it,
+// so no value is hashed twice. Bottom-k keeps the *same* values on both
+// sides of any comparison, so containment/Jaccard estimates are stable
+// under sampling.
 //
 // The budget, pins, eviction order, thread safety and byte gauges are
 // BudgetedCache's (discovery/budgeted_cache.h), keyed by table name — so
-// entries carry across snapshots whose table positions differ. Sketches
+// entries carry across snapshots whose table positions differ. Profiles
 // are pure functions of (table contents, max_sample), so rebuilds are
 // byte-identical and eviction never changes the discovered DRG.
 
@@ -21,42 +24,58 @@
 #define AUTOFEAT_DISCOVERY_SKETCH_CACHE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "discovery/budgeted_cache.h"
 #include "obs/metrics.h"
 #include "table/table.h"
+#include "util/rng.h"
 
 namespace autofeat {
 
 class DataLake;
 class ThreadPool;
 
-/// \brief Distinct-value summary of one column.
+/// The value hash every profile is built from: FNV-1a of the canonical key
+/// (Column::KeyAt) through the splitmix64 finaliser. FNV-1a's high bits
+/// depend on a key's last bytes almost linearly, so ranking short keys
+/// ("101", "102", ...) by raw FNV-1a keeps them by spelling, not at random;
+/// the finaliser avalanches every input bit, which makes the bottom-k a
+/// uniform sample of the distinct keys.
+inline uint64_t SketchValueHash(std::string_view key) {
+  return DeriveSeed(Fnv1a64(key), 0);
+}
+
+/// \brief Hash-native distinct-value profile of one column.
 struct ColumnSketch {
-  /// Up to `max_sample` distinct non-null values (bottom-k by hash).
-  std::unordered_set<std::string> values;
-  /// Exact distinct non-null count before sampling (for the low-cardinality
+  /// The `max_sample` smallest distinct SketchValueHash values over the
+  /// column's non-null keys, ascending.
+  std::vector<uint64_t> hashes;
+  /// Distinct non-null hashes before the cut (for the low-cardinality
   /// evidence discount, which needs the true count, not the sample size).
+  /// Equals the exact distinct key count unless two keys collide in 64
+  /// bits.
   size_t num_distinct = 0;
 
-  /// Approximate heap footprint in bytes. Size-based (value count and
-  /// lengths, not bucket capacity), so equal content reports equal bytes
-  /// and the `sketch_cache.bytes` gauge stays deterministic.
+  /// Heap footprint in bytes. Size-based (not capacity), so equal content
+  /// reports equal bytes and the `sketch_cache.bytes` gauge stays
+  /// deterministic.
   size_t ApproxBytes() const {
-    size_t total = sizeof(ColumnSketch);
-    for (const auto& v : values) {
-      total += sizeof(std::string) + v.size() + 2 * sizeof(void*);
-    }
-    return total;
+    return sizeof(ColumnSketch) + hashes.size() * sizeof(uint64_t);
   }
 };
 
-/// Builds the sketch of a single column.
+/// Builds the profile of a single column: hash every non-null key, sort,
+/// deduplicate, keep the smallest `max_sample`.
 ColumnSketch BuildColumnSketch(const Column& col, size_t max_sample);
+
+/// Profiles of every column of `table`, in column order.
+std::vector<ColumnSketch> SketchTable(const Table& table, size_t max_sample);
 
 /// Containment |A ∩ B| / min(|A|, |B|) of two sketches (0 if either empty).
 double SketchContainment(const ColumnSketch& a, const ColumnSketch& b);

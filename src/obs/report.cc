@@ -4,20 +4,12 @@
 #include <sstream>
 
 #include "obs/json_value.h"
+#include "util/rng.h"
 #include "util/string_utils.h"
 
 namespace autofeat::obs {
 
 namespace {
-
-uint64_t Fnv1a64(const std::string& s) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 std::string FormatSeconds(double seconds) {
   char buf[32];

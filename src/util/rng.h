@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string_view>
 #include <vector>
 
 namespace autofeat {
@@ -78,6 +79,20 @@ inline uint64_t DeriveSeed(uint64_t seed, uint64_t stream) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+/// 64-bit FNV-1a of `bytes`, continuing from `state` (the offset basis by
+/// default, so chained calls hash the concatenation). The one byte-string
+/// hash of the library: platform-stable, unlike std::hash, so it may decide
+/// outputs (`.afc` checksums, obs digests, sketch and LSH keys, cache
+/// stream ids).
+inline uint64_t Fnv1a64(std::string_view bytes,
+                        uint64_t state = 0xCBF29CE484222325ULL) {
+  for (unsigned char c : bytes) {
+    state ^= c;
+    state *= 0x100000001B3ULL;
+  }
+  return state;
 }
 
 }  // namespace autofeat

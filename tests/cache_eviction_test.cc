@@ -441,7 +441,7 @@ TEST(LakeSketchCacheEvictionTest, RebuildReproducesIdenticalSketches) {
     ASSERT_EQ(pin->size(), 2u);  // "k" and "v"
     EXPECT_NE(pin.get(), first[t].get());
     for (size_t col = 0; col < 2; ++col) {
-      EXPECT_EQ((*pin)[col].values, (*first[t])[col].values);
+      EXPECT_EQ((*pin)[col].hashes, (*first[t])[col].hashes);
       EXPECT_EQ((*pin)[col].num_distinct, (*first[t])[col].num_distinct);
     }
   }

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,12 +136,13 @@ TEST(MinHashDifferentialTest, SignatureBitExact) {
   Rng rng(211);
   for (size_t num_values : {1, 2, 7, 100}) {
     for (size_t num_hashes : {1, 2, 3, 4, 5, 8, 64, 65}) {
-      ColumnSketch sketch;
-      sketch.num_distinct = num_values;
+      std::vector<std::string> values;
       for (size_t v = 0; v < num_values; ++v) {
-        sketch.values.insert("value_" +
-                             std::to_string(rng.UniformInt(0, 1 << 20)));
+        values.push_back("value_" +
+                         std::to_string(rng.UniformInt(0, 1 << 20)));
       }
+      ColumnSketch sketch =
+          BuildColumnSketch(Column::Strings(values), /*max_sample=*/4096);
       MinHashSignature got = ComputeMinHashSignature(sketch, num_hashes);
       MinHashSignature want =
           ComputeMinHashSignatureReference(sketch, num_hashes);

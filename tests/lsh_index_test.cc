@@ -21,10 +21,7 @@ namespace autofeat {
 namespace {
 
 ColumnSketch MakeSketch(std::initializer_list<std::string> values) {
-  ColumnSketch sketch;
-  for (const auto& v : values) sketch.values.insert(v);
-  sketch.num_distinct = sketch.values.size();
-  return sketch;
+  return BuildColumnSketch(Column::Strings(values), /*max_sample=*/4096);
 }
 
 Table MakeKeyTable(const std::string& table_name,
@@ -83,12 +80,6 @@ TEST(MinHashSignatureTest, IdenticalSetsShareEveryBand) {
   ColumnSketch b = MakeSketch({"15", "14", "13", "12", "11", "10"});
   EXPECT_EQ(ComputeMinHashSignature(a, 64).mins,
             ComputeMinHashSignature(b, 64).mins);
-}
-
-TEST(LshValueHashTest, StableAndSpread) {
-  EXPECT_EQ(LshValueHash("key"), LshValueHash("key"));
-  EXPECT_NE(LshValueHash("key"), LshValueHash("kez"));
-  EXPECT_NE(LshValueHash(""), LshValueHash("0"));
 }
 
 TEST(LshCandidateIndexTest, SharedKeyDomainBecomesCandidate) {
@@ -182,9 +173,10 @@ TEST(LshCandidateIndexTest, TypeGroupsNeverShareBuckets) {
   ASSERT_TRUE(doubles.AddColumn("c", std::move(dc)).ok());
   ASSERT_TRUE(lake.AddTable(std::move(doubles)).ok());
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  for (const auto& [i, j] :
-       LshCandidateIndex::Build(lake, cache, LshOptions{})
-           .candidate_table_pairs()) {
+  // Kept in a local: a range-for over a temporary's member would dangle.
+  const LshCandidateIndex index =
+      LshCandidateIndex::Build(lake, cache, LshOptions{});
+  for (const auto& [i, j] : index.candidate_table_pairs()) {
     // Only a same-group collision could pair these two tables.
     EXPECT_NE(std::make_pair(i, j), (std::pair<size_t, size_t>{0, 1}));
   }
@@ -205,6 +197,48 @@ TEST(LshCandidateIndexTest, ThreadCountIndependent) {
   EXPECT_EQ(sequential.signature_bytes(), parallel.signature_bytes());
   EXPECT_EQ(sequential.num_bucket_collisions(),
             parallel.num_bucket_collisions());
+}
+
+TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
+  // One banding path: the cold index files the same profiles the serving
+  // layer intersects pairwise, so its candidates must be exactly the table
+  // pairs LshTablesCollide accepts, under every option that shapes buckets.
+  datagen::ScaleLakeSpec spec;
+  spec.num_tables = 20;
+  spec.rows = 48;  // key and feature columns under the default rescue
+  spec.seed = 7;
+  DataLake lake = datagen::BuildScaleLake(spec);
+  // A small subset of pod 0's key domain (asymmetric containment) and a
+  // superset of pod 1's that is too wide to be rescued.
+  ASSERT_TRUE(lake.AddTable(MakeKeyTable("subset", "key_p0", 10, 16)).ok());
+  ASSERT_TRUE(lake.AddTable(MakeKeyTable("superset", "key_p1", 48, 248)).ok());
+  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
+
+  std::vector<LshOptions> variants(4);
+  variants[1].small_column_rescue = 0;
+  variants[2].min_distinct = 8;
+  variants[3].max_cardinality_ratio = 4.0;
+  for (size_t v = 0; v < variants.size(); ++v) {
+    const LshOptions& options = variants[v];
+    std::vector<std::vector<ColumnLshProfile>> profiles;
+    for (size_t t = 0; t < lake.num_tables(); ++t) {
+      profiles.push_back(ComputeTableLshProfiles(
+          lake.tables()[t], *cache.GetOrBuild(t), options));
+    }
+    std::vector<std::pair<size_t, size_t>> want;
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      for (size_t j = i + 1; j < profiles.size(); ++j) {
+        if (LshTablesCollide(profiles[i], profiles[j], options)) {
+          want.emplace_back(i, j);
+        }
+      }
+    }
+    EXPECT_FALSE(want.empty()) << "variant " << v;
+    EXPECT_EQ(LshCandidateIndex::Build(lake, cache, options)
+                  .candidate_table_pairs(),
+              want)
+        << "variant " << v;
+  }
 }
 
 TEST(LshCandidateIndexTest, RecordsCountersAndByteGauges) {

@@ -1,12 +1,29 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "discovery/sketch_cache.h"
+#include "table/column.h"
+
 namespace autofeat {
 namespace {
+
+// Golden values from tools/hash_reference.py, an independent restatement in
+// Python's standard library (CI regenerates and diffs the file).
+struct GoldenHash {
+  const char* key;
+  size_t size;
+  uint64_t fnv1a64;
+  uint64_t sketch;
+};
+#include "golden/hashes.inc"
 
 TEST(RngTest, DeterministicGivenSeed) {
   Rng a(123), b(123);
@@ -124,6 +141,29 @@ TEST(RngTest, ForkIsDeterministic) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(fa.UniformInt(0, 1000), fb.UniformInt(0, 1000));
   }
+}
+
+TEST(GoldenHashTest, Fnv1a64AndSketchValueHashMatchReference) {
+  for (const GoldenHash& g : kGoldenHashes) {
+    const std::string_view key(g.key, g.size);
+    EXPECT_EQ(Fnv1a64(key), g.fnv1a64) << key;
+    EXPECT_EQ(SketchValueHash(key), g.sketch) << key;
+  }
+}
+
+TEST(GoldenHashTest, Fnv1a64ChainsOverConcatenation) {
+  EXPECT_EQ(Fnv1a64("ey", Fnv1a64("k")), Fnv1a64("key"));
+  EXPECT_EQ(Fnv1a64("", Fnv1a64("key")), Fnv1a64("key"));
+}
+
+TEST(GoldenHashTest, ColumnProfileMatchesReference) {
+  Column column = Column::Int64s(
+      std::vector<int64_t>(std::begin(kGoldenColumn), std::end(kGoldenColumn)));
+  ColumnSketch sketch = BuildColumnSketch(column, kGoldenSketchK);
+  EXPECT_EQ(sketch.hashes,
+            std::vector<uint64_t>(std::begin(kGoldenSketchHashes),
+                                  std::end(kGoldenSketchHashes)));
+  EXPECT_EQ(sketch.num_distinct, kGoldenColumnDistinct);
 }
 
 }  // namespace

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace autofeat {
 namespace {
 
@@ -45,6 +53,104 @@ TEST(ValueOverlapTest, EmptyColumnsScoreZero) {
   Column empty(DataType::kInt64);
   Column b = Column::Int64s({1});
   EXPECT_DOUBLE_EQ(ValueOverlap(empty, b, 100), 0.0);
+}
+
+// A seeded column over the key domain [0, domain): int64 v, double v and
+// string "v" spell the same key, so columns of different types overlap; a
+// double is sometimes v + 0.5 and a string sometimes "s<v>", which overlap
+// nothing of the other types. About 15% of rows are null.
+Column RandomKeyColumn(Rng* rng, DataType type, size_t rows, int64_t domain) {
+  Column col(type);
+  for (size_t i = 0; i < rows; ++i) {
+    if (rng->Bernoulli(0.15)) {
+      col.AppendNull();
+      continue;
+    }
+    const int64_t v = rng->UniformInt(0, domain - 1);
+    const bool odd_spelling = rng->Bernoulli(0.2);
+    switch (type) {
+      case DataType::kInt64:
+        col.AppendInt64(v);
+        break;
+      case DataType::kDouble:
+        col.AppendDouble(static_cast<double>(v) + (odd_spelling ? 0.5 : 0.0));
+        break;
+      case DataType::kString:
+        col.AppendString((odd_spelling ? "s" : "") + std::to_string(v));
+        break;
+    }
+  }
+  return col;
+}
+
+std::set<std::string> DistinctKeys(const Column& col) {
+  std::set<std::string> keys;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsNull(i)) keys.insert(col.KeyAt(i));
+  }
+  return keys;
+}
+
+TEST(ValueOverlapTest, MatchesExactSetOracle) {
+  constexpr size_t kSample = 32;
+  Rng rng(20240611);
+  std::vector<Column> columns;
+  for (int64_t domain : {8, 24, 40, 400}) {
+    for (DataType type :
+         {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+      for (size_t rows : {0, 5, 60, 300}) {
+        columns.push_back(RandomKeyColumn(&rng, type, rows, domain));
+      }
+    }
+  }
+  size_t exact_pairs = 0;
+  size_t cross_type_overlaps = 0;
+  size_t sampled_columns = 0;
+  for (size_t a = 0; a < columns.size(); ++a) {
+    const std::set<std::string> keys_a = DistinctKeys(columns[a]);
+    const ColumnSketch sketch_a = BuildColumnSketch(columns[a], kSample);
+    // The profile is the oracle's k smallest key hashes and its count.
+    std::vector<uint64_t> oracle_hashes;
+    for (const std::string& key : keys_a) {
+      oracle_hashes.push_back(SketchValueHash(key));
+    }
+    std::sort(oracle_hashes.begin(), oracle_hashes.end());
+    oracle_hashes.resize(std::min(oracle_hashes.size(), kSample));
+    EXPECT_EQ(sketch_a.hashes, oracle_hashes) << "column " << a;
+    EXPECT_EQ(sketch_a.num_distinct, keys_a.size()) << "column " << a;
+    if (keys_a.size() > kSample) {
+      ++sampled_columns;
+      continue;
+    }
+    // Unsampled pairs: the estimates are exact.
+    for (size_t b = 0; b < columns.size(); ++b) {
+      const std::set<std::string> keys_b = DistinctKeys(columns[b]);
+      if (keys_b.size() > kSample) continue;
+      std::vector<std::string> common;
+      std::set_intersection(keys_a.begin(), keys_a.end(), keys_b.begin(),
+                            keys_b.end(), std::back_inserter(common));
+      const double inter = static_cast<double>(common.size());
+      const double smaller =
+          static_cast<double>(std::min(keys_a.size(), keys_b.size()));
+      const double uni =
+          static_cast<double>(keys_a.size() + keys_b.size()) - inter;
+      const ColumnSketch sketch_b = BuildColumnSketch(columns[b], kSample);
+      EXPECT_DOUBLE_EQ(ValueOverlap(columns[a], columns[b], kSample),
+                       smaller == 0 ? 0.0 : inter / smaller)
+          << a << " vs " << b;
+      EXPECT_DOUBLE_EQ(SketchJaccard(sketch_a, sketch_b),
+                       uni == 0 ? 0.0 : inter / uni)
+          << a << " vs " << b;
+      ++exact_pairs;
+      if (columns[a].type() != columns[b].type() && inter > 0) {
+        ++cross_type_overlaps;
+      }
+    }
+  }
+  // Both regimes are exercised, cross-type overlaps included.
+  EXPECT_GT(exact_pairs, 100u);
+  EXPECT_GT(cross_type_overlaps, 10u);
+  EXPECT_GT(sampled_columns, 5u);
 }
 
 // Key columns carry >= 16 distinct values so their value overlap counts

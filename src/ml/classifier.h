@@ -33,8 +33,9 @@ class Classifier {
     return PredictProba(data, row) >= 0.5 ? 1 : 0;
   }
 
-  /// Probabilities for every row of `data`.
-  std::vector<double> PredictProbaAll(const Dataset& data) const {
+  /// Probabilities for every row of `data`; equal to PredictProba row by
+  /// row. Models that can share work across rows override it.
+  virtual std::vector<double> PredictProbaAll(const Dataset& data) const {
     std::vector<double> out(data.num_rows());
     for (size_t r = 0; r < data.num_rows(); ++r) {
       out[r] = PredictProba(data, r);

@@ -1,30 +1,72 @@
 #include "relational/imputation.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string_view>
 #include <unordered_map>
 
 namespace autofeat {
 
+namespace {
+
+// A double's counting key, equal for two doubles exactly when their
+// Column::KeyAt strings are equal. KeyAt prints integral doubles below 9e15
+// as their int64, which folds -0.0 into 0.0, and every other double with
+// %.17g, which round-trips all values except NaN: it prints "nan" or "-nan"
+// by the sign bit alone.
+uint64_t DoubleKey(double v) {
+  if (std::isnan(v)) {
+    v = std::copysign(std::numeric_limits<double>::quiet_NaN(), v);
+  } else if (v == 0.0) {
+    v = 0.0;
+  }
+  return std::bit_cast<uint64_t>(v);
+}
+
+// Row of the first non-null value whose count reaches the final maximum
+// (the mode, first-seen winning ties), or column.size() when every row is
+// null.
+template <typename Key, typename KeyOf>
+size_t ModeRow(const Column& column, KeyOf key_of) {
+  std::unordered_map<Key, size_t> counts;
+  size_t mode_count = 0;
+  size_t mode_row = column.size();
+  for (size_t i = 0; i < column.size(); ++i) {
+    if (column.IsNull(i)) continue;
+    size_t c = ++counts[key_of(i)];
+    if (c > mode_count) {
+      mode_count = c;
+      mode_row = i;
+    }
+  }
+  return mode_row;
+}
+
+size_t ModeRow(const Column& column) {
+  switch (column.type()) {
+    case DataType::kDouble:
+      return ModeRow<uint64_t>(
+          column, [&](size_t i) { return DoubleKey(column.GetDouble(i)); });
+    case DataType::kInt64:
+      return ModeRow<int64_t>(column,
+                              [&](size_t i) { return column.GetInt64(i); });
+    case DataType::kString:
+      return ModeRow<std::string_view>(
+          column,
+          [&](size_t i) { return std::string_view(column.GetString(i)); });
+  }
+  return column.size();
+}
+
+}  // namespace
+
 Column ImputeMostFrequent(const Column& column) {
   if (column.null_count() == 0) return column;
 
-  // Find the mode of the non-null values (first-seen wins ties).
-  std::unordered_map<std::string, size_t> counts;
-  std::string mode_key;
-  size_t mode_count = 0;
-  size_t mode_row = 0;
-  bool found = false;
-  for (size_t i = 0; i < column.size(); ++i) {
-    if (column.IsNull(i)) continue;
-    std::string k = column.KeyAt(i);
-    size_t c = ++counts[k];
-    if (c > mode_count) {
-      mode_count = c;
-      mode_key = k;
-      mode_row = i;
-      found = true;
-    }
-  }
-
+  const size_t mode_row = ModeRow(column);
+  const bool found = mode_row < column.size();
   Column out(column.type());
   out.Reserve(column.size());
   for (size_t i = 0; i < column.size(); ++i) {

@@ -8,6 +8,7 @@
 #include "util/simd.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -227,26 +228,39 @@ TEST(SimdGatherTest, GatherDoublesByRowBitExact) {
   }
 }
 
-TEST(SimdHistogramTest, AccumulateGhBitExact) {
+TEST(SimdHistogramTest, AccumulateGhInt64MatchesReferenceAndSubtracts) {
   Rng rng(43);
   const size_t num_rows = 777;
   const size_t nbins = 64;
   std::vector<uint8_t> codes(num_rows);
-  std::vector<double> grad(num_rows), hess(num_rows);
+  std::vector<int64_t> gh(2 * num_rows);
   for (size_t r = 0; r < num_rows; ++r) {
     codes[r] = static_cast<uint8_t>(rng.UniformIndex(nbins));
-    grad[r] = rng.Normal();
-    hess[r] = rng.Uniform(1e-6, 1.0);
+    // Fixed-point magnitudes as the GBDT uses them: |g|, h <= 2^52.
+    gh[2 * r] = rng.UniformInt(-(int64_t{1} << 52), int64_t{1} << 52);
+    gh[2 * r + 1] = rng.UniformInt(1, int64_t{1} << 52);
   }
   for (size_t n : {0, 1, 3, 4, 5, 100, 777}) {
-    std::vector<size_t> rows(n);
-    for (size_t i = 0; i < n; ++i) rows[i] = rng.UniformIndex(num_rows);
-    std::vector<double> got(2 * nbins, 0.0), want(2 * nbins, 0.0);
-    AccumulateGh(codes.data(), grad.data(), hess.data(), rows.data(), n,
-                 got.data());
-    AccumulateGhReference(codes.data(), grad.data(), hess.data(), rows.data(),
-                          n, want.data());
+    std::vector<uint32_t> rows(n);
+    for (size_t i = 0; i < n; ++i) {
+      rows[i] = static_cast<uint32_t>(rng.UniformIndex(num_rows));
+    }
+    std::vector<int64_t> got(2 * nbins, 0), want(2 * nbins, 0);
+    AccumulateGh(codes.data(), gh.data(), rows.data(), n, got.data());
+    AccumulateGhReference(codes.data(), gh.data(), rows.data(), n,
+                          want.data());
     EXPECT_EQ(want, got) << "n=" << n;
+
+    // Split the rows into a smaller and a larger child: the parent's
+    // histogram minus the smaller child's is the larger child's, built
+    // directly.
+    const size_t cut = n / 3;
+    std::vector<int64_t> smaller(2 * nbins, 0), larger(2 * nbins, 0);
+    AccumulateGh(codes.data(), gh.data(), rows.data(), cut, smaller.data());
+    AccumulateGh(codes.data(), gh.data(), rows.data() + cut, n - cut,
+                 larger.data());
+    for (size_t i = 0; i < got.size(); ++i) got[i] -= smaller[i];
+    EXPECT_EQ(larger, got) << "n=" << n;
   }
 }
 

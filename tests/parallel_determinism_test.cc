@@ -115,29 +115,36 @@ TEST(ParallelDeterminismTest, AugmentMatchesAcrossThreadCounts) {
   auto drg = BuildDrgFromKfk(built.lake);
   ASSERT_TRUE(drg.ok());
 
-  double expected_accuracy = 0.0;
-  std::string expected_path;
-  size_t expected_columns = 0;
-  for (size_t threads : {1u, 4u}) {
-    AutoFeatConfig config;
-    config.sample_rows = 200;
-    config.num_threads = threads;
-    AutoFeat engine(&built.lake, &*drg, config);
-    auto result = engine.Augment(built.base_table, built.label_column,
-                                 ml::ModelKind::kKnn);
-    ASSERT_TRUE(result.ok());
-    std::ostringstream path;
-    for (const JoinStep& s : result->best_path.path.steps) {
-      path << s.from_node << "." << s.from_column << ">" << s.to_node << ";";
-    }
-    if (threads == 1) {
-      expected_accuracy = result->accuracy;
-      expected_path = path.str();
-      expected_columns = result->augmented.num_columns();
-    } else {
-      EXPECT_EQ(result->accuracy, expected_accuracy);
-      EXPECT_EQ(path.str(), expected_path);
-      EXPECT_EQ(result->augmented.num_columns(), expected_columns);
+  // KNN plus both GBDT presets, whose k+1 models train concurrently.
+  for (ml::ModelKind model : {ml::ModelKind::kKnn, ml::ModelKind::kLightGbm,
+                              ml::ModelKind::kXgBoost}) {
+    SCOPED_TRACE(ml::ModelKindName(model));
+    double expected_accuracy = 0.0;
+    std::string expected_path;
+    size_t expected_columns = 0;
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      AutoFeatConfig config;
+      config.sample_rows = 200;
+      config.num_threads = threads;
+      AutoFeat engine(&built.lake, &*drg, config);
+      auto result =
+          engine.Augment(built.base_table, built.label_column, model);
+      ASSERT_TRUE(result.ok());
+      std::ostringstream path;
+      for (const JoinStep& s : result->best_path.path.steps) {
+        path << s.from_node << "." << s.from_column << ">" << s.to_node
+             << ";";
+      }
+      if (threads == 1) {
+        expected_accuracy = result->accuracy;
+        expected_path = path.str();
+        expected_columns = result->augmented.num_columns();
+      } else {
+        EXPECT_EQ(result->accuracy, expected_accuracy) << threads;
+        EXPECT_EQ(path.str(), expected_path) << threads;
+        EXPECT_EQ(result->augmented.num_columns(), expected_columns)
+            << threads;
+      }
     }
   }
 }

@@ -77,6 +77,11 @@ int main() {
 
   PrintRule();
   std::printf("summary over %zu datasets:\n", datasets);
+  // Ratios of wall times move between runs of the same code; the
+  // denominator tells how much timer noise one run can carry.
+  std::printf("  AutoFeat fs_time summed: %.1f ms (the speedups' "
+              "denominator)\n",
+              1e3 * autofeat_fs_sum);
   std::printf("  feature-selection speedup vs ARDA: %.1fx\n",
               arda_fs_sum / autofeat_fs_sum);
   std::printf("  feature-selection speedup vs MAB : %.1fx\n",

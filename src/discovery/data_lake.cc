@@ -207,29 +207,20 @@ std::vector<std::pair<size_t, size_t>> AllTablePairs(size_t n) {
   return pairs;
 }
 
-// Fan the scoring of `pairs` (ascending (i, j) table-index pairs — the full
-// upper triangle or an LSH candidate subset of it) out over `pool` and fold
-// the matches into a DRG sequentially in (i, j) order — edge insertion
-// order (and thus the graph) is independent of the thread count.
-// `score_pair(i, j)` must be safe to call concurrently for distinct pairs.
-Result<DatasetRelationGraph> BuildDrgFromPairScores(
+// Folds `matches[p]`, the scored matches of `pairs[p]` (ascending (i, j)
+// table-index pairs — the full upper triangle or an LSH candidate subset of
+// it), into a DRG sequentially in pair order, so edge insertion order (and
+// thus the graph) is independent of the thread count that scored them.
+Result<DatasetRelationGraph> FoldPairMatches(
     const DataLake& lake, const std::vector<std::pair<size_t, size_t>>& pairs,
-    ThreadPool* pool, obs::MetricsRegistry* metrics,
-    const std::function<std::vector<ColumnMatch>(size_t, size_t)>&
-        score_pair) {
-  obs::Counter* pairs_scored = obs::GetCounter(metrics, "drg.pairs_scored");
+    const std::vector<std::vector<ColumnMatch>>& matches,
+    obs::MetricsRegistry* metrics) {
   obs::Counter* pairs_matched = obs::GetCounter(metrics, "drg.pairs_matched");
   obs::Counter* edges_added = obs::GetCounter(metrics, "drg.edges_added");
+  obs::Increment(obs::GetCounter(metrics, "drg.pairs_scored"), pairs.size());
   DatasetRelationGraph drg;
   for (const auto& table : lake.tables()) drg.AddNode(table.name());
   const auto& tables = lake.tables();
-
-  std::vector<std::vector<ColumnMatch>> matches =
-      ParallelMap<std::vector<ColumnMatch>>(
-          pool, pairs.size(), /*grain=*/1, [&](size_t p) {
-            return score_pair(pairs[p].first, pairs[p].second);
-          });
-  obs::Increment(pairs_scored, pairs.size());
   for (size_t p = 0; p < pairs.size(); ++p) {
     const auto& [i, j] = pairs[p];
     if (!matches[p].empty()) obs::Increment(pairs_matched);
@@ -245,6 +236,49 @@ Result<DatasetRelationGraph> BuildDrgFromPairScores(
 
 }  // namespace
 
+bool UsesLshCandidates(const MatchOptions& options) {
+  return options.candidate_mode == CandidateMode::kLsh &&
+         options.threshold > options.name_weight;
+}
+
+std::vector<std::pair<size_t, size_t>> CandidateTablePairs(
+    const DataLake& lake, LakeSketchCache& cache, const MatchOptions& options,
+    ThreadPool* pool, obs::MetricsRegistry* metrics,
+    std::vector<std::vector<ColumnLshProfile>>* profiles) {
+  const size_t n = lake.num_tables();
+  std::vector<std::pair<size_t, size_t>> pairs;
+  if (UsesLshCandidates(options)) {
+    LshCandidateIndex index =
+        LshCandidateIndex::Build(lake, cache, options.lsh, pool, metrics);
+    pairs = index.candidate_table_pairs();
+    if (profiles != nullptr) *profiles = index.TakeTableProfiles();
+  } else {
+    pairs = AllTablePairs(n);
+  }
+  const size_t total_pairs = n > 1 ? n * (n - 1) / 2 : 0;
+  obs::Increment(obs::GetCounter(metrics, "drg.candidate_pairs"),
+                 pairs.size());
+  obs::Increment(obs::GetCounter(metrics, "drg.pairs_pruned"),
+                 total_pairs - pairs.size());
+  return pairs;
+}
+
+std::vector<std::vector<ColumnMatch>> ScoreTablePairs(
+    const DataLake& lake, LakeSketchCache& cache,
+    const std::vector<std::pair<size_t, size_t>>& pairs,
+    const MatchOptions& options, ThreadPool* pool) {
+  const auto& tables = lake.tables();
+  return ParallelMap<std::vector<ColumnMatch>>(
+      pool, pairs.size(), /*grain=*/1, [&](size_t p) {
+        const auto& [i, j] = pairs[p];
+        // Pins keep both entries alive for the duration of the match even
+        // if a concurrent pair's rebuild evicts them under a budget.
+        LakeSketchCache::TableSketchesPin left = cache.GetOrBuild(i);
+        LakeSketchCache::TableSketchesPin right = cache.GetOrBuild(j);
+        return MatchSchemas(tables[i], *left, tables[j], *right, options);
+      });
+}
+
 Result<DatasetRelationGraph> BuildDrgByDiscovery(const DataLake& lake,
                                                  const MatchOptions& options,
                                                  ThreadPool* pool,
@@ -254,41 +288,20 @@ Result<DatasetRelationGraph> BuildDrgByDiscovery(const DataLake& lake,
   LakeSketchCache cache =
       LakeSketchCache::Build(lake, options.max_sample_values, pool, metrics,
                              options.memory_budget_bytes);
-
-  // Candidate generation. LSH filtering is sound only while every
-  // reportable edge needs value overlap (a collision witness); when the
-  // threshold is reachable on name evidence alone, fall back to the
-  // exhaustive sweep instead of silently dropping name-only edges.
-  const size_t n = lake.num_tables();
-  const size_t total_pairs = n > 1 ? n * (n - 1) / 2 : 0;
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (options.candidate_mode == CandidateMode::kLsh &&
-      options.threshold > options.name_weight) {
-    LshCandidateIndex lsh =
-        LshCandidateIndex::Build(lake, cache, options.lsh, pool, metrics);
-    pairs = lsh.candidate_table_pairs();
-  } else {
-    pairs = AllTablePairs(lake.num_tables());
-  }
-  obs::Increment(obs::GetCounter(metrics, "drg.candidate_pairs"),
-                 pairs.size());
-  obs::Increment(obs::GetCounter(metrics, "drg.pairs_pruned"),
-                 total_pairs - pairs.size());
+  const std::vector<std::pair<size_t, size_t>> pairs =
+      CandidateTablePairs(lake, cache, options, pool, metrics);
 
   // Each pair served from the cache would have re-sketched both tables'
   // columns under the naive formulation — that saved work is the hit count.
-  obs::Counter* sketch_hits = obs::GetCounter(metrics, "sketch_cache.hits");
   const auto& tables = lake.tables();
-  return BuildDrgFromPairScores(
-      lake, pairs, pool, metrics, [&](size_t i, size_t j) {
-        obs::Increment(sketch_hits,
-                       tables[i].num_columns() + tables[j].num_columns());
-        // Pins keep both entries alive for the duration of the match even
-        // if a concurrent pair's rebuild evicts them under a budget.
-        LakeSketchCache::TableSketchesPin left = cache.GetOrBuild(i);
-        LakeSketchCache::TableSketchesPin right = cache.GetOrBuild(j);
-        return MatchSchemas(tables[i], *left, tables[j], *right, options);
-      });
+  size_t sketch_hits = 0;
+  for (const auto& [i, j] : pairs) {
+    sketch_hits += tables[i].num_columns() + tables[j].num_columns();
+  }
+  obs::Increment(obs::GetCounter(metrics, "sketch_cache.hits"), sketch_hits);
+  return FoldPairMatches(lake, pairs,
+                         ScoreTablePairs(lake, cache, pairs, options, pool),
+                         metrics);
 }
 
 Result<DatasetRelationGraph> BuildDrgWithMatcher(
@@ -297,9 +310,16 @@ Result<DatasetRelationGraph> BuildDrgWithMatcher(
         matcher,
     ThreadPool* pool, obs::MetricsRegistry* metrics) {
   const auto& tables = lake.tables();
-  return BuildDrgFromPairScores(
-      lake, AllTablePairs(tables.size()), pool, metrics,
-      [&](size_t i, size_t j) { return matcher(tables[i], tables[j]); });
+  const std::vector<std::pair<size_t, size_t>> pairs =
+      AllTablePairs(tables.size());
+  return FoldPairMatches(
+      lake, pairs,
+      ParallelMap<std::vector<ColumnMatch>>(
+          pool, pairs.size(), /*grain=*/1,
+          [&](size_t p) {
+            return matcher(tables[pairs[p].first], tables[pairs[p].second]);
+          }),
+      metrics);
 }
 
 }  // namespace autofeat

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "discovery/schema_matcher.h"
@@ -180,14 +181,14 @@ Result<DatasetRelationGraph> BuildDrgFromKfk(
 /// edges weighted by their similarity score.
 ///
 /// Every column is sketched exactly once (LakeSketchCache) before the pair
-/// sweep. With the default options.candidate_mode (kAllPairs) every pair of
-/// the upper triangle is scored — O(n²) in the table count; with kLsh a
-/// MinHash-LSH index over the sketches (see lsh_index.h) generates the
-/// candidate subset first and only candidates are scored. With a `pool`,
-/// sketching fans out over tables and pair scoring over (candidate) table
-/// pairs; matches are folded into the DRG in deterministic (i, j) pair
-/// order, so the graph is byte-identical at any thread count in either
-/// mode.
+/// sweep. CandidateTablePairs picks the pairs: with the default
+/// options.candidate_mode (kAllPairs) every pair of the upper triangle —
+/// O(n²) in the table count; with kLsh a MinHash-LSH index over the
+/// sketches (see lsh_index.h) generates the candidate subset first.
+/// ScoreTablePairs scores them. With a `pool`, sketching fans out over
+/// tables and pair scoring over (candidate) table pairs; matches are folded
+/// into the DRG in deterministic (i, j) pair order, so the graph is
+/// byte-identical at any thread count in either mode.
 ///
 /// A non-null `metrics` records the DRG-construction counters:
 /// `sketch_cache.builds` (sketches computed once), `sketch_cache.hits`
@@ -199,6 +200,37 @@ Result<DatasetRelationGraph> BuildDrgFromKfk(
 Result<DatasetRelationGraph> BuildDrgByDiscovery(
     const DataLake& lake, const MatchOptions& options = {},
     ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr);
+
+/// True when the table pairs to score may come from LSH candidates:
+/// options.candidate_mode is kLsh and options.threshold > name_weight. Only
+/// then does every reportable edge need value overlap, which is what an LSH
+/// collision witnesses; when name evidence alone can reach the threshold,
+/// every pair must be scored or name-only edges would be silently dropped.
+bool UsesLshCandidates(const MatchOptions& options);
+
+/// The table pairs a whole-lake discovery build scores, as ascending (i, j)
+/// lake positions with i < j: the banded LshCandidateIndex's candidates when
+/// UsesLshCandidates(options), else the full upper triangle. Profiles build
+/// over the sketches in `cache` (fanning out over `pool`), so the list is
+/// identical at any thread count. A non-null `metrics` records
+/// `drg.candidate_pairs`, `drg.pairs_pruned` and, under LSH, the index's
+/// `lsh.*` counters and `lsh_index.bytes` gauges. A non-null `profiles`
+/// receives the index's per-table column profiles (lake order) under LSH
+/// and is left empty otherwise.
+std::vector<std::pair<size_t, size_t>> CandidateTablePairs(
+    const DataLake& lake, LakeSketchCache& cache, const MatchOptions& options,
+    ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,
+    std::vector<std::vector<ColumnLshProfile>>* profiles = nullptr);
+
+/// Scores every (i, j) of `pairs` with MatchSchemas over the sketches in
+/// `cache`, fanning the pairs out over `pool`, and returns each pair's
+/// matches (oriented table i -> table j) in pair order. Each result is a
+/// pure function of the two tables, so the output is identical at any
+/// thread count.
+std::vector<std::vector<ColumnMatch>> ScoreTablePairs(
+    const DataLake& lake, LakeSketchCache& cache,
+    const std::vector<std::pair<size_t, size_t>>& pairs,
+    const MatchOptions& options, ThreadPool* pool = nullptr);
 
 /// Generic DRG construction with a pluggable matcher — "DRG construction is
 /// independent of the dataset discovery algorithm" (§IV). The matcher maps

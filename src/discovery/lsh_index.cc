@@ -160,7 +160,8 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
   // Stage 1: per-column profiles, one task per table. Each slot is written
   // by exactly one task and a profile is a pure function of the column's
   // sketch, so the fan-out is thread-count-independent.
-  std::vector<std::vector<ColumnLshProfile>> profiles(tables.size());
+  std::vector<std::vector<ColumnLshProfile>>& profiles = index.profiles_;
+  profiles.resize(tables.size());
   obs::Tracer* tracer = pool != nullptr ? pool->tracer() : nullptr;
   obs::TaskContext ctx =
       obs::CaptureTaskContext(tables.empty() ? nullptr : tracer);

@@ -24,9 +24,11 @@
 //    at all is guaranteed to collide.
 //
 // One banding path: ComputeColumnLshProfile is the only code that derives
-// bucket keys. The cold index files every column's profile into buckets;
-// the serving layer intersects profiles pairwise. Both therefore make the
-// same candidate decisions by construction.
+// bucket keys. The cold index files every column's profile into buckets and
+// serves every whole-lake build (CandidateTablePairs in data_lake.h, batch
+// and the serving layer's epoch 0 alike); the serving layer's one-table
+// re-match intersects profiles pairwise. Both therefore make the same
+// candidate decisions by construction.
 //
 // Determinism: every key is derived from the profile's stored hashes
 // (SketchValueHash: FNV-1a + the splitmix64 finaliser, never std::hash)
@@ -102,13 +104,14 @@ MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
 /// \brief One column's LSH state: the exact set of bucket keys
 /// LshCandidateIndex::Build files the column under.
 ///
-/// The serving layer's incremental matcher cannot afford to rebuild the
-/// whole lake-wide index per mutation, but it must reproduce the cold
-/// index's candidate decisions exactly (the incremental DRG is gated
-/// byte-identical to a cold rebuild). Profiles make the bucket structure a
-/// pure per-column function: two columns collide in the cold index iff
-/// their profiles share a bucket key, so candidate generation for a touched
-/// table is a pairwise check against every other table's cached profiles.
+/// The serving layer builds its epoch-0 graph with the cold index, but a
+/// mutation cannot afford to rebuild the whole lake-wide index, and it must
+/// reproduce the index's candidate decisions exactly (the incremental DRG
+/// is gated byte-identical to a cold rebuild). Profiles make the bucket
+/// structure a pure per-column function: two columns collide in the cold
+/// index iff their profiles share a bucket key, so candidate generation for
+/// a touched table is a check of its profiles against every other table's
+/// cached profiles.
 struct ColumnLshProfile {
   /// Sorted bucket keys in one keyspace, separated by derivation stream:
   /// band b of type group g is DeriveSeed(band content, 2b + g); each
@@ -184,6 +187,12 @@ class LshCandidateIndex {
   /// Cross-table column-level bucket collisions (>= candidate pair count).
   size_t num_bucket_collisions() const { return bucket_collisions_; }
 
+  /// Moves out every table's column profiles, in lake order, as Build
+  /// computed them (for callers that re-match single tables later).
+  std::vector<std::vector<ColumnLshProfile>> TakeTableProfiles() {
+    return std::move(profiles_);
+  }
+
   /// Approximate heap footprint: signatures + bucket entries + the pair
   /// list. Size-based (entry counts, not container capacity), so equal
   /// content reports equal bytes and the derived gauges stay deterministic.
@@ -191,6 +200,7 @@ class LshCandidateIndex {
 
  private:
   std::vector<std::pair<size_t, size_t>> pairs_;
+  std::vector<std::vector<ColumnLshProfile>> profiles_;
   size_t columns_indexed_ = 0;
   size_t columns_skipped_ = 0;
   size_t signature_bytes_ = 0;

@@ -17,18 +17,19 @@
 
 #include "discovery/lsh_index.h"
 #include "discovery/sketch_cache.h"
+#include "graph/drg_delta.h"
 #include "table/table.h"
 
 namespace autofeat {
 
-/// How BuildDrgByDiscovery enumerates the table pairs to score exactly.
+/// How whole-lake DRG builds (CandidateTablePairs in data_lake.h) enumerate
+/// the table pairs to score exactly.
 enum class CandidateMode {
   /// Score the full upper triangle — O(n²) pairs, exhaustive.
   kAllPairs,
   /// MinHash-LSH candidate generation (see lsh_index.h): exact scoring runs
   /// only on table pairs with a signature-band or small-column collision.
-  /// Requires `threshold > name_weight` (every reported edge then needs
-  /// value overlap, which is what LSH collisions witness); otherwise
+  /// Requires `threshold > name_weight` (UsesLshCandidates); otherwise
   /// discovery silently falls back to kAllPairs rather than drop
   /// name-only edges.
   kLsh,
@@ -63,13 +64,6 @@ struct MatchOptions {
   /// the discovered DRG is byte-identical at any budget. Callers plumb
   /// AutoFeatConfig::memory_budget_bytes here (autofeat_cli does).
   size_t memory_budget_bytes = 0;
-};
-
-/// A discovered join opportunity between two columns.
-struct ColumnMatch {
-  std::string left_column;
-  std::string right_column;
-  double score = 0.0;
 };
 
 /// Name similarity in [0, 1]: max of normalised Levenshtein similarity and

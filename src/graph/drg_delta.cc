@@ -14,7 +14,7 @@ std::string DrgMatchStore::PairKey(const std::string& a,
 
 void DrgMatchStore::SetMatches(const std::string& left,
                                const std::string& right,
-                               std::vector<PairMatch> matches) {
+                               std::vector<ColumnMatch> matches) {
   const std::string key = PairKey(left, right);
   if (matches.empty()) {
     pairs_.erase(key);
@@ -33,14 +33,14 @@ void DrgMatchStore::PurgeTable(const std::string& table) {
   }
 }
 
-std::vector<PairMatch> DrgMatchStore::MatchesFor(const std::string& a,
+std::vector<ColumnMatch> DrgMatchStore::MatchesFor(const std::string& a,
                                                  const std::string& b) const {
   auto it = pairs_.find(PairKey(a, b));
   if (it == pairs_.end()) return {};
   if (it->second.left == a) return it->second.matches;
-  std::vector<PairMatch> flipped;
+  std::vector<ColumnMatch> flipped;
   flipped.reserve(it->second.matches.size());
-  for (const PairMatch& m : it->second.matches) {
+  for (const ColumnMatch& m : it->second.matches) {
     flipped.push_back({m.right_column, m.left_column, m.score});
   }
   return flipped;
@@ -52,7 +52,7 @@ Result<DatasetRelationGraph> DrgMatchStore::BuildGraph(
   for (const std::string& name : lake_order) drg.AddNode(name);
   for (size_t i = 0; i < lake_order.size(); ++i) {
     for (size_t j = i + 1; j < lake_order.size(); ++j) {
-      for (const PairMatch& m : MatchesFor(lake_order[i], lake_order[j])) {
+      for (const ColumnMatch& m : MatchesFor(lake_order[i], lake_order[j])) {
         AF_RETURN_NOT_OK(drg.AddEdge(lake_order[i], m.left_column,
                                      lake_order[j], m.right_column, m.score));
       }

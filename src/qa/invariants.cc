@@ -589,7 +589,8 @@ Status CheckServeIncrementalEquivalence(const FuzzedLake& fz) {
   for (const Arm& arm :
        {Arm{"all-pairs, 1 thread", CandidateMode::kAllPairs, 1},
         Arm{"all-pairs, 4 threads", CandidateMode::kAllPairs, 4},
-        Arm{"lsh, 1 thread", CandidateMode::kLsh, 1}}) {
+        Arm{"lsh, 1 thread", CandidateMode::kLsh, 1},
+        Arm{"lsh, 4 threads", CandidateMode::kLsh, 4}}) {
     serve::ServeOptions opts;
     opts.match.candidate_mode = arm.mode;
     opts.config = FuzzDiscoveryConfig(fz, arm.threads);
@@ -808,7 +809,7 @@ const std::vector<Invariant>& BuiltinInvariants() {
            "after any fuzzed mutation sequence the serving layer's "
            "incrementally maintained DRG, Discover output and obs digest "
            "are byte-identical to a cold rebuild at the final lake state "
-           "(all-pairs at 1/4 threads, LSH at 1)",
+           "(all-pairs and LSH, each at 1/4 threads)",
            CheckServeIncrementalEquivalence},
           {"cache.eviction_oblivious",
            "discovery output and obs digest are byte-identical under "

@@ -12,16 +12,6 @@ namespace autofeat::serve {
 
 namespace {
 
-std::vector<PairMatch> ToPairMatches(std::vector<ColumnMatch> matches) {
-  std::vector<PairMatch> out;
-  out.reserve(matches.size());
-  for (ColumnMatch& m : matches) {
-    out.push_back({std::move(m.left_column), std::move(m.right_column),
-                   m.score});
-  }
-  return out;
-}
-
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -71,8 +61,22 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
       service->options_.match.memory_budget_bytes);
   snap->sketch_cache->set_event_log(event_log);
   snap->sketch_cache->PrewarmAll(service->pool_.get());
-  MatchStats stats;
-  AF_RETURN_NOT_OK(service->MatchAllPairs(*snap, &stats));
+  // Epoch 0 takes its pairs from the batch candidate generator; its counters
+  // stay out of the service registry, which counts serving work only. The
+  // index's profiles seed the cache RematchTable reads, so no mutation
+  // re-profiles (and, under a budget, re-sketches) an untouched table.
+  std::vector<std::vector<ColumnLshProfile>> profiles;
+  const std::vector<std::pair<size_t, size_t>> pairs = CandidateTablePairs(
+      snap->lake, *snap->sketch_cache, service->options_.match,
+      service->pool_.get(), /*metrics=*/nullptr, &profiles);
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    service->profiles_.emplace(snap->lake.tables()[i].name(),
+                               std::move(profiles[i]));
+  }
+  const size_t n = snap->lake.num_tables();
+  const size_t skipped = (n > 1 ? n * (n - 1) / 2 : 0) - pairs.size();
+  obs::Increment(service->pairs_skipped_, skipped);
+  service->StorePairScores(*snap, pairs);
   AF_ASSIGN_OR_RETURN(snap->drg,
                       service->match_store_.BuildGraph(snap->lake.TableNames()));
   snap->join_cache = std::make_shared<JoinIndexCache>(
@@ -87,20 +91,12 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
   lineage.cause = "create";
   lineage.num_tables = snap->lake.num_tables();
   lineage.drg_edges = snap->drg.num_edges();
-  lineage.pairs_rescored = stats.rescored;
-  lineage.pairs_skipped = stats.skipped;
+  lineage.pairs_rescored = pairs.size();
+  lineage.pairs_skipped = skipped;
   service->RecordLineage(std::move(lineage));
 
   service->current_ = std::move(snap);
   return service;
-}
-
-bool LakeService::LshFilteringActive() const {
-  // Mirrors the BuildDrgByDiscovery fallback: LSH filtering is sound only
-  // while every reportable edge needs value overlap. When the threshold is
-  // reachable on name evidence alone, every pair must be scored.
-  return options_.match.candidate_mode == CandidateMode::kLsh &&
-         options_.match.threshold > options_.match.name_weight;
 }
 
 const std::vector<ColumnLshProfile>& LakeService::ProfileFor(
@@ -114,54 +110,18 @@ const std::vector<ColumnLshProfile>& LakeService::ProfileFor(
       .first->second;
 }
 
-Status LakeService::MatchAllPairs(const LakeSnapshot& snap,
-                                  MatchStats* stats) {
-  match_store_ = DrgMatchStore();
-  profiles_.clear();
+void LakeService::StorePairScores(
+    const LakeSnapshot& snap,
+    const std::vector<std::pair<size_t, size_t>>& pairs) {
+  std::vector<std::vector<ColumnMatch>> matches = ScoreTablePairs(
+      snap.lake, *snap.sketch_cache, pairs, options_.match, pool_.get());
   const auto tables = snap.lake.tables();
-  const size_t n = tables.size();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (LshFilteringActive()) {
-    for (size_t i = 0; i < n; ++i) ProfileFor(snap, i, tables[i].name());
-    for (size_t i = 0; i < n; ++i) {
-      const auto& pi = profiles_.at(tables[i].name());
-      for (size_t j = i + 1; j < n; ++j) {
-        if (LshTablesCollide(pi, profiles_.at(tables[j].name()),
-                             options_.match.lsh)) {
-          pairs.emplace_back(i, j);
-        } else {
-          obs::Increment(pairs_skipped_);
-          if (stats != nullptr) ++stats->skipped;
-        }
-      }
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
-    }
-  }
-
-  // Score candidates (fanning out over the pool; each score is a pure
-  // function of the two tables' sketches) and install them in the store.
-  std::vector<std::vector<ColumnMatch>> matches =
-      ParallelMap<std::vector<ColumnMatch>>(
-          pool_.get(), pairs.size(), /*grain=*/1, [&](size_t p) {
-            const auto& [i, j] = pairs[p];
-            LakeSketchCache::TableSketchesPin left =
-                snap.sketch_cache->GetOrBuild(i);
-            LakeSketchCache::TableSketchesPin right =
-                snap.sketch_cache->GetOrBuild(j);
-            return MatchSchemas(tables[i], *left, tables[j], *right,
-                                options_.match);
-          });
   for (size_t p = 0; p < pairs.size(); ++p) {
     const auto& [i, j] = pairs[p];
     match_store_.SetMatches(tables[i].name(), tables[j].name(),
-                            ToPairMatches(std::move(matches[p])));
+                            std::move(matches[p]));
   }
   obs::Increment(pairs_rescored_, pairs.size());
-  if (stats != nullptr) stats->rescored += pairs.size();
-  return Status::OK();
 }
 
 Status LakeService::RematchTable(const LakeSnapshot& snap,
@@ -180,47 +140,25 @@ Status LakeService::RematchTable(const LakeSnapshot& snap,
     return Status::KeyError("re-match target not in lake: " + target);
   }
 
-  const bool lsh = LshFilteringActive();
+  // One table against all: the pairwise form of the cold index's collision
+  // test, over profiles cached across mutations. `tprof` stays valid across
+  // later ProfileFor insertions — unordered_map references survive
+  // rehashing.
+  const bool lsh = UsesLshCandidates(options_.match);
+  const std::vector<ColumnLshProfile>* tprof =
+      lsh ? &ProfileFor(snap, target_idx, target) : nullptr;
   std::vector<std::pair<size_t, size_t>> pairs;
-  if (lsh) {
-    // `tprof` stays valid across later ProfileFor insertions —
-    // unordered_map references survive rehashing.
-    const auto& tprof = ProfileFor(snap, target_idx, target);
-    for (size_t u = 0; u < n; ++u) {
-      if (u == target_idx) continue;
-      if (LshTablesCollide(tprof, ProfileFor(snap, u, tables[u].name()),
-                           options_.match.lsh)) {
-        pairs.emplace_back(std::min(u, target_idx),
-                           std::max(u, target_idx));
-      } else {
-        obs::Increment(pairs_skipped_);
-        if (stats != nullptr) ++stats->skipped;
-      }
+  for (size_t u = 0; u < n; ++u) {
+    if (u == target_idx) continue;
+    if (lsh && !LshTablesCollide(*tprof, ProfileFor(snap, u, tables[u].name()),
+                                 options_.match.lsh)) {
+      obs::Increment(pairs_skipped_);
+      if (stats != nullptr) ++stats->skipped;
+      continue;
     }
-  } else {
-    for (size_t u = 0; u < n; ++u) {
-      if (u == target_idx) continue;
-      pairs.emplace_back(std::min(u, target_idx), std::max(u, target_idx));
-    }
+    pairs.emplace_back(std::min(u, target_idx), std::max(u, target_idx));
   }
-
-  std::vector<std::vector<ColumnMatch>> matches =
-      ParallelMap<std::vector<ColumnMatch>>(
-          pool_.get(), pairs.size(), /*grain=*/1, [&](size_t p) {
-            const auto& [i, j] = pairs[p];
-            LakeSketchCache::TableSketchesPin left =
-                snap.sketch_cache->GetOrBuild(i);
-            LakeSketchCache::TableSketchesPin right =
-                snap.sketch_cache->GetOrBuild(j);
-            return MatchSchemas(tables[i], *left, tables[j], *right,
-                                options_.match);
-          });
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [i, j] = pairs[p];
-    match_store_.SetMatches(tables[i].name(), tables[j].name(),
-                            ToPairMatches(std::move(matches[p])));
-  }
-  obs::Increment(pairs_rescored_, pairs.size());
+  StorePairScores(snap, pairs);
   if (stats != nullptr) stats->rescored += pairs.size();
   obs::Increment(tables_rematched_);
   return Status::OK();

@@ -137,10 +137,11 @@ class LakeService {
   };
 
   /// Builds the service over `initial`: sketches every table, discovers
-  /// the epoch-0 DRG (kLsh candidate filtering via pairwise profiles when
-  /// configured) and prepares the caches. A non-null `metrics` receives
-  /// the `serve.*` counters plus both caches' counters for every epoch,
-  /// and the `serve.query_latency_ns` / `serve.mutation_latency_ns`
+  /// the epoch-0 DRG with the batch candidate generator and pair scorer
+  /// (CandidateTablePairs / ScoreTablePairs, so the graph equals
+  /// BuildDrgByDiscovery's) and prepares the caches. A non-null `metrics`
+  /// receives the `serve.*` counters plus both caches' counters for every
+  /// epoch, and the `serve.query_latency_ns` / `serve.mutation_latency_ns`
   /// quantile histograms (non-deterministic — wall-clock derived). A
   /// non-null `event_log` receives the structured serving events
   /// (query_start/query_end, mutation_apply, epoch_publish, cache
@@ -207,13 +208,10 @@ class LakeService {
   LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
               obs::Tracer* tracer, obs::EventLog* event_log);
 
-  /// True when LSH candidate filtering is active (mirrors the
-  /// BuildDrgByDiscovery fallback rule: name-only edges are reachable when
-  /// threshold <= name_weight, and then every pair must be scored).
-  bool LshFilteringActive() const;
-
   /// The cached LSH profile of `table` (position `index` in `snap`),
-  /// computing and memoising it on first use.
+  /// computing and memoising it on first use. Create seeds the cache with
+  /// the candidate index's profiles, so only added or mutated tables are
+  /// profiled here.
   const std::vector<ColumnLshProfile>& ProfileFor(const LakeSnapshot& snap,
                                                   size_t index,
                                                   const std::string& name);
@@ -224,8 +222,11 @@ class LakeService {
   Status RematchTable(const LakeSnapshot& snap, const std::string& target,
                       MatchStats* stats = nullptr);
 
-  /// Builds a fresh epoch-0 match store for snap->lake. Writer mutex held.
-  Status MatchAllPairs(const LakeSnapshot& snap, MatchStats* stats = nullptr);
+  /// Scores `pairs` (ascending (i, j) positions in snap->lake) with the
+  /// batch pair scorer and installs the matches in the store. Writer mutex
+  /// held (or, in Create, the service not yet published).
+  void StorePairScores(const LakeSnapshot& snap,
+                       const std::vector<std::pair<size_t, size_t>>& pairs);
 
   /// Records one epoch's lineage (and its `epoch_publish` event).
   void RecordLineage(EpochLineage record);

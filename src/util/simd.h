@@ -5,8 +5,8 @@
 // fallback. Every vectorised kernel ships with a `*Scalar` / `*Reference`
 // twin that states the exact semantics in plain code; the differential test
 // suites (tests/simd_test.cc, tests/kernels_test.cc) hold the two sides
-// together — bit-exact for the integer kernels (counting, hashing, gather,
-// fixed-point histograms), bounded-ULP for the floating-point entropy
+// together — bit-exact for the integer kernels (counting, hashing, gather),
+// bounded-ULP for the floating-point entropy
 // reduction.
 //
 // Dispatch matrix (which kernels are actually vectorised per backend):
@@ -18,13 +18,16 @@
 //   MinHashUpdate               4x     —     —     —
 //   GatherDoublesByRow          4x     —     —     —
 //   CountEqualU32/CountNonZero  8x     —     —     —
-//   AccumulateGh (int64)  (cache-conscious unrolled form on all backends)
+//   AccumulateGh (int64)        —     —     —     —
 //
 // A "—" cell runs the scalar form; results stay correct, only the speed
 // differs. SSE2 lacks the integer ISA the counting/hashing kernels need
 // (mullo_epi32, cmpgt_epi64, gathers), and on NEON a 64-bit multiply has no
 // vector form, so those backends vectorise only the entropy reduction — the
-// kernel the scoring loop spends most of its time in.
+// kernel the scoring loop spends most of its time in. AccumulateGh is one
+// plain loop on every backend: scatter-add has loop-carried dependences
+// through memory, so it is cache-bound, not vector-width-bound, and a 4-row
+// unrolled form did not beat the plain loop (bench/kernels `hist_gh_simd`).
 //
 // Determinism: integer kernels are bit-identical across all backends (the
 // MinHash kernel feeds the DRG candidate list, which must not depend on the
@@ -208,22 +211,6 @@ inline void GatherDoublesByRowScalar(const double* src, const uint32_t* rows,
                                      double missing, double* out) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = rows[i] == no_match ? missing : src[rows[i]];
-  }
-}
-
-/// Fixed-point gradient/hessian histogram accumulation: for each
-/// r = rows[i], hist[2*codes[r]] += gh[2*r] and hist[2*codes[r] + 1] +=
-/// gh[2*r + 1], where gh holds each row's (gradient, hessian) pair. Integer
-/// sums do not depend on the order rows are added in, so any summation
-/// order, and parent-minus-sibling subtraction, gives the same histogram.
-inline void AccumulateGhReference(const uint8_t* codes, const int64_t* gh,
-                                  const uint32_t* rows, size_t n,
-                                  int64_t* hist) {
-  for (size_t i = 0; i < n; ++i) {
-    size_t r = rows[i];
-    int64_t* slot = hist + 2 * static_cast<size_t>(codes[r]);
-    slot[0] += gh[2 * r];
-    slot[1] += gh[2 * r + 1];
   }
 }
 
@@ -755,30 +742,16 @@ inline void GatherDoublesByRow(const double* src, const uint32_t* rows,
 
 // ---- Histogram accumulation (all backends) --------------------------------
 
-/// Cache-conscious form of AccumulateGhReference: a row's (g, h) pair and
-/// a bin's two accumulators each share a cache line, and the 4-row unroll
-/// lets the row/code loads run ahead of the dependent adds. Scatter-add has
-/// loop-carried dependences through memory, so this kernel is ILP- and
-/// cache-bound, not vector-width-bound, on every backend.
+/// Fixed-point gradient/hessian histogram accumulation: for each
+/// r = rows[i], hist[2*codes[r]] += gh[2*r] and hist[2*codes[r] + 1] +=
+/// gh[2*r + 1], where gh holds each row's (gradient, hessian) pair. A row's
+/// (g, h) pair and a bin's two accumulators each share a cache line.
+/// Integer sums do not depend on the order rows are added in, so any
+/// summation order, and parent-minus-sibling subtraction, gives the same
+/// histogram.
 inline void AccumulateGh(const uint8_t* codes, const int64_t* gh,
                          const uint32_t* rows, size_t n, int64_t* hist) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    size_t r0 = rows[i], r1 = rows[i + 1], r2 = rows[i + 2], r3 = rows[i + 3];
-    int64_t* s0 = hist + 2 * static_cast<size_t>(codes[r0]);
-    s0[0] += gh[2 * r0];
-    s0[1] += gh[2 * r0 + 1];
-    int64_t* s1 = hist + 2 * static_cast<size_t>(codes[r1]);
-    s1[0] += gh[2 * r1];
-    s1[1] += gh[2 * r1 + 1];
-    int64_t* s2 = hist + 2 * static_cast<size_t>(codes[r2]);
-    s2[0] += gh[2 * r2];
-    s2[1] += gh[2 * r2 + 1];
-    int64_t* s3 = hist + 2 * static_cast<size_t>(codes[r3]);
-    s3[0] += gh[2 * r3];
-    s3[1] += gh[2 * r3 + 1];
-  }
-  for (; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     size_t r = rows[i];
     int64_t* slot = hist + 2 * static_cast<size_t>(codes[r]);
     slot[0] += gh[2 * r];

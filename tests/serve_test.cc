@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "datagen/scale_lake.h"
 #include "discovery/data_lake.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -180,6 +181,49 @@ TEST(LakeServiceTest, IncrementalDrgMatchesColdRebuildAfterMutations) {
   ASSERT_TRUE(cold_drg.ok()) << cold_drg.status().message();
   EXPECT_EQ(service->snapshot()->drg.OrderedFingerprint(),
             cold_drg->OrderedFingerprint());
+}
+
+TEST(LakeServiceTest, EpochZeroDrgEqualsBatchDiscovery) {
+  // Create builds its graph with the batch candidate generator and pair
+  // scorer, so epoch 0 is BuildDrgByDiscovery's graph under LSH at any
+  // thread count and under the name-only fallback (threshold <=
+  // name_weight, where every pair is scored). Lineage counts what the
+  // batch build's counters count.
+  datagen::ScaleLakeSpec spec;
+  spec.num_tables = 30;
+  spec.seed = 11;
+  const DataLake lake = datagen::BuildScaleLake(spec);
+  struct Arm {
+    const char* label;
+    double threshold;
+    size_t threads;
+  };
+  for (const Arm& arm : {Arm{"lsh, 1 thread", 0.55, 1},
+                         Arm{"lsh, 4 threads", 0.55, 4},
+                         Arm{"name-only fallback", 0.45, 1}}) {
+    ServeOptions options;
+    options.match.candidate_mode = CandidateMode::kLsh;
+    options.match.threshold = arm.threshold;
+    options.config.num_threads = arm.threads;
+    obs::MetricsRegistry batch_metrics;
+    Result<DatasetRelationGraph> batch =
+        BuildDrgByDiscovery(lake, options.match, nullptr, &batch_metrics);
+    ASSERT_TRUE(batch.ok()) << batch.status().message();
+    EXPECT_GT(batch->num_edges(), 0u) << arm.label;
+
+    std::unique_ptr<LakeService> service = MakeService(lake, options);
+    EXPECT_EQ(service->snapshot()->drg.OrderedFingerprint(),
+              batch->OrderedFingerprint())
+        << arm.label;
+    const std::vector<EpochLineage> lineage = service->Lineage();
+    ASSERT_EQ(lineage.size(), 1u);
+    EXPECT_EQ(lineage[0].pairs_rescored,
+              batch_metrics.GetCounter("drg.candidate_pairs")->value())
+        << arm.label;
+    EXPECT_EQ(lineage[0].pairs_skipped,
+              batch_metrics.GetCounter("drg.pairs_pruned")->value())
+        << arm.label;
+  }
 }
 
 TEST(LakeServiceTest, IncrementalEquivalenceInvariantPassesFuzzedTraces) {

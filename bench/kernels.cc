@@ -3,11 +3,13 @@
 // Times each SIMD-rewritten hot kernel against the scalar reference it
 // replaced, on inputs shaped like the discovery hot path: dense SU/MI
 // scoring (the per-candidate cost center), single-column entropy, MinHash
-// signature hashing, and the numeric join gather. GBDT histogram
-// accumulation has one (plain-loop) kernel and is timed alone. Each phase reports min-of-reps wall seconds; the su_dense pair is
-// the acceptance gate — the binary exits non-zero if the optimised dense
-// MI/SU path is not at least 2x the reference while a vector backend is
-// compiled in. Emits BENCH_kernels.json for the bench_diff trajectory.
+// signature hashing, and the numeric join gather. The one exception is
+// GBDT histogram accumulation (AccumulateGh), which has a single
+// plain-loop kernel and is timed alone. Each phase reports min-of-reps
+// wall seconds; the su_dense pair is the acceptance gate — the binary
+// exits non-zero if the optimised dense MI/SU path is not at least 2x the
+// reference while a vector backend is compiled in. Emits BENCH_kernels.json
+// for the bench_diff trajectory.
 
 #include <algorithm>
 #include <bit>

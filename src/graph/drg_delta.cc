@@ -34,7 +34,7 @@ void DrgMatchStore::PurgeTable(const std::string& table) {
 }
 
 std::vector<ColumnMatch> DrgMatchStore::MatchesFor(const std::string& a,
-                                                 const std::string& b) const {
+                                                   const std::string& b) const {
   auto it = pairs_.find(PairKey(a, b));
   if (it == pairs_.end()) return {};
   if (it->second.left == a) return it->second.matches;

@@ -57,7 +57,7 @@ class DrgMatchStore {
 
   /// The stored matches for {a, b} oriented a -> b (empty if none).
   std::vector<ColumnMatch> MatchesFor(const std::string& a,
-                                    const std::string& b) const;
+                                      const std::string& b) const;
 
   /// Rebuilds the graph canonically: one node per lake table in
   /// `lake_order`, then for ascending (i, j) the stored matches of pair

@@ -116,11 +116,13 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
   AF_ASSIGN_OR_RETURN(size_t base_node, drg_->NodeId(base_table));
   Rng rng(config_.seed);
 
-  // Every (right table, key column) the DRG can reach is interned once up
-  // front, in parallel, and shared by all candidates.
+  // Every (right table, key column) a path of at most max_hops hops from
+  // the base can join into is interned once up front, in parallel, and
+  // shared by all candidates; the rest of the lake is never touched.
   {
     obs::ScopedSpan span(tracer_, "discover.prewarm");
-    join_cache_->Prewarm(*drg_, pool_.get());
+    join_cache_->Prewarm(*drg_, pool_.get(),
+                         JoinIndexCache::Reach{base_node, config_.max_hops});
   }
 
   // Stratified sampling speeds up feature selection without biasing the

@@ -1,6 +1,7 @@
 #include "discovery/join_index_cache.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -58,11 +59,19 @@ Result<JoinIndexCache::IndexPin> JoinIndexCache::GetOrBuildWithTick(
 }
 
 void JoinIndexCache::Prewarm(const DatasetRelationGraph& drg,
-                             ThreadPool* pool) {
-  // Every (to_node, to_column) of every oriented edge is a potential join
-  // target; neighbour lists are symmetric, so this covers both directions.
+                             ThreadPool* pool, std::optional<Reach> reach) {
+  std::vector<size_t> sources;
+  if (!reach) {
+    sources.resize(drg.num_nodes());
+    std::iota(sources.begin(), sources.end(), size_t{0});
+  } else if (reach->max_hops > 0) {
+    sources = drg.ReachableFrom(reach->base_node, reach->max_hops - 1);
+  }
+  // Every (to_node, to_column) of every edge oriented out of a source is a
+  // potential join target; neighbour lists are symmetric, so over the whole
+  // graph this covers both directions.
   std::vector<std::pair<std::string, std::string>> targets;
-  for (size_t node = 0; node < drg.num_nodes(); ++node) {
+  for (size_t node : sources) {
     for (size_t neighbor : drg.Neighbors(node)) {
       for (const JoinStep& edge : drg.EdgesBetween(node, neighbor)) {
         targets.emplace_back(drg.NodeName(edge.to_node), edge.to_column);

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
@@ -66,12 +67,22 @@ class JoinIndexCache {
   Result<IndexPin> GetOrBuild(const std::string& table,
                               const std::string& column);
 
-  /// Builds the index of every join target (to_node, to_column) reachable
-  /// through `drg` up front, fanning out over `pool` when given. Purely an
-  /// optimisation — lazy GetOrBuild fills any entry Prewarm missed or the
-  /// budget evicted. All prewarmed entries share one recency tick (they are
-  /// one batch), so under a budget the largest are evicted first.
-  void Prewarm(const DatasetRelationGraph& drg, ThreadPool* pool = nullptr);
+  /// The part of a DRG one discovery can join into: every edge leaving a
+  /// node within `max_hops - 1` hops of `base_node` (a path of `max_hops`
+  /// hops extends only from shorter paths).
+  struct Reach {
+    size_t base_node = 0;
+    size_t max_hops = 0;
+  };
+
+  /// Builds the index of every join target (to_node, to_column) of the
+  /// edges in `reach` up front, or of every edge in `drg` when no reach is
+  /// given, fanning out over `pool` when given. Purely an optimisation:
+  /// lazy GetOrBuild fills any entry Prewarm missed or the budget evicted.
+  /// All prewarmed entries share one recency tick (they are one batch), so
+  /// under a budget the largest are evicted first.
+  void Prewarm(const DatasetRelationGraph& drg, ThreadPool* pool = nullptr,
+               std::optional<Reach> reach = std::nullopt);
 
   /// Copies the resident entries of `prev` whose table is neither in
   /// `invalidated_tables` nor absent from this cache's lake — the serving

@@ -124,21 +124,24 @@ std::vector<JoinPath> DatasetRelationGraph::EnumeratePaths(
   return out;
 }
 
-std::vector<size_t> DatasetRelationGraph::ReachableFrom(size_t start) const {
+std::vector<size_t> DatasetRelationGraph::ReachableFrom(
+    size_t start, size_t max_hops) const {
   std::vector<bool> visited(num_nodes(), false);
-  std::deque<size_t> queue{start};
   visited[start] = true;
-  std::vector<size_t> out;
-  while (!queue.empty()) {
-    size_t node = queue.front();
-    queue.pop_front();
-    out.push_back(node);
-    for (size_t n : Neighbors(node)) {
-      if (!visited[n]) {
-        visited[n] = true;
-        queue.push_back(n);
+  std::vector<size_t> out{start};
+  // BFS one level per hop: out[level_begin, end) holds the current level.
+  for (size_t level_begin = 0, hop = 0;
+       level_begin < out.size() && hop < max_hops; ++hop) {
+    const size_t level_end = out.size();
+    for (size_t k = level_begin; k < level_end; ++k) {
+      for (size_t n : Neighbors(out[k])) {
+        if (!visited[n]) {
+          visited[n] = true;
+          out.push_back(n);
+        }
       }
     }
+    level_begin = level_end;
   }
   std::sort(out.begin(), out.end());
   return out;

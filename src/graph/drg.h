@@ -76,9 +76,11 @@ class DatasetRelationGraph {
   /// and nodes v in level d of k(v)! where k(v) = #unvisited neighbours.
   double JoinAllPathCountLog10(size_t start) const;
 
-  /// Node ids reachable from `start` (including `start`). Tables outside
-  /// this set can never contribute features to the base table.
-  std::vector<size_t> ReachableFrom(size_t start) const;
+  /// Node ids reachable from `start` in at most `max_hops` hops (including
+  /// `start`), ascending. Tables outside the unbounded set can never
+  /// contribute features to the base table.
+  std::vector<size_t> ReachableFrom(
+      size_t start, size_t max_hops = static_cast<size_t>(-1)) const;
 
   /// Nodes NOT reachable from `start` — diagnosed by the CLI as isolated
   /// datasets the discovery step found no join for.

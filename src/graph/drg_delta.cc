@@ -49,13 +49,41 @@ std::vector<ColumnMatch> DrgMatchStore::MatchesFor(const std::string& a,
 Result<DatasetRelationGraph> DrgMatchStore::BuildGraph(
     const std::vector<std::string>& lake_order) const {
   DatasetRelationGraph drg;
-  for (const std::string& name : lake_order) drg.AddNode(name);
-  for (size_t i = 0; i < lake_order.size(); ++i) {
-    for (size_t j = i + 1; j < lake_order.size(); ++j) {
-      for (const ColumnMatch& m : MatchesFor(lake_order[i], lake_order[j])) {
-        AF_RETURN_NOT_OK(drg.AddEdge(lake_order[i], m.left_column,
-                                     lake_order[j], m.right_column, m.score));
-      }
+  std::unordered_map<std::string, size_t> position;
+  for (const std::string& name : lake_order) {
+    position.emplace(name, drg.AddNode(name));
+  }
+  // Each stored pair at its lake positions i < j, ascending: the fold order
+  // of a cold BuildDrgByDiscovery, without probing every name pair.
+  struct Placed {
+    size_t i;
+    size_t j;
+    bool flip;  // stored right -> left of lake order
+    const StoredPair* pair;
+  };
+  std::vector<Placed> placed;
+  placed.reserve(pairs_.size());
+  for (const auto& [key, pair] : pairs_) {
+    auto left = position.find(pair.left);
+    auto right = position.find(pair.right);
+    if (left == position.end() || right == position.end() ||
+        left->second == right->second) {
+      continue;
+    }
+    const bool flip = left->second > right->second;
+    placed.push_back({flip ? right->second : left->second,
+                      flip ? left->second : right->second, flip, &pair});
+  }
+  std::sort(placed.begin(), placed.end(),
+            [](const Placed& x, const Placed& y) {
+              return x.i != y.i ? x.i < y.i : x.j < y.j;
+            });
+  for (const Placed& p : placed) {
+    for (const ColumnMatch& m : p.pair->matches) {
+      AF_RETURN_NOT_OK(drg.AddEdge(
+          drg.NodeName(p.i), p.flip ? m.right_column : m.left_column,
+          drg.NodeName(p.j), p.flip ? m.left_column : m.right_column,
+          m.score));
     }
   }
   return drg;

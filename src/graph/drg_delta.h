@@ -13,9 +13,9 @@
 // the graph object canonically (nodes in lake order, pair edges ascending
 // (i, j)) after every mutation, while the expensive part (scoring) stays
 // incremental: a mutation re-scores only pairs touching mutated tables.
-// Rebuilding probes every (i, j) name pair, O(nodes² + edges); at 1,000
-// tables that is a few tens of milliseconds, about the cost of a whole
-// mutation.
+// Rebuilding visits only the stored pairs, placed at their tables' lake
+// positions and sorted: O(nodes + pairs log pairs + edges), however many
+// tables never matched.
 
 #ifndef AUTOFEAT_GRAPH_DRG_DELTA_H_
 #define AUTOFEAT_GRAPH_DRG_DELTA_H_
@@ -62,7 +62,8 @@ class DrgMatchStore {
   /// Rebuilds the graph canonically: one node per lake table in
   /// `lake_order`, then for ascending (i, j) the stored matches of pair
   /// (table i, table j) as edges, in stored (match-score) order — exactly
-  /// the fold order of a cold BuildDrgByDiscovery. Stored pairs whose
+  /// the fold order of a cold BuildDrgByDiscovery. Only the stored pairs
+  /// are visited, sorted by their lake positions. Stored pairs whose
   /// tables are absent from `lake_order` are ignored (they belong to
   /// dropped tables awaiting purge).
   Result<DatasetRelationGraph> BuildGraph(

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/autofeat.h"
 #include "discovery/data_lake.h"
 #include "discovery/join_index_cache.h"
+#include "graph/drg.h"
+#include "obs/metrics.h"
 #include "relational/join.h"
 #include "support/join_differential.h"
 #include "support/lake_fixtures.h"
@@ -227,6 +230,116 @@ TEST(JoinIndexCacheTest, SameSeedCachesAreInterchangeable) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ((*a)->representative, (*b)->representative);
+}
+
+// Two components: the chain base - t1 - t2 - t3 (t3 is three hops from the
+// base) and the island u1 - u2, which no discovery from the base reaches.
+struct ChainLake {
+  DataLake lake;
+  DatasetRelationGraph drg;
+};
+
+ChainLake MakeChainAndIslandLake() {
+  constexpr int64_t kRows = 60;
+  std::vector<int64_t> id, k1, label;
+  std::vector<double> f0;
+  for (int64_t i = 0; i < kRows; ++i) {
+    id.push_back(i);
+    k1.push_back(i % 20);
+    label.push_back(i % 20 % 10 % 5 < 2 ? 1 : 0);
+    f0.push_back(static_cast<double>((i * 7) % 11));
+  }
+  auto keyed = [](const std::string& name, int64_t n, int64_t fold,
+                  const std::string& key, const std::string& next_key,
+                  const std::string& feature) {
+    std::vector<int64_t> keys, next;
+    std::vector<double> values;
+    for (int64_t k = 0; k < n; ++k) {
+      keys.push_back(k);
+      next.push_back(k % fold);
+      values.push_back(static_cast<double>(k % fold) * 1.5 + 0.25);
+    }
+    Table t(name);
+    t.AddColumn(key, Column::Int64s(keys)).Abort();
+    if (!next_key.empty()) t.AddColumn(next_key, Column::Int64s(next)).Abort();
+    t.AddColumn(feature, Column::Doubles(values)).Abort();
+    return t;
+  };
+  ChainLake out;
+  Table base("base");
+  base.AddColumn("id", Column::Int64s(id)).Abort();
+  base.AddColumn("k1", Column::Int64s(k1)).Abort();
+  base.AddColumn("f0", Column::Doubles(f0)).Abort();
+  base.AddColumn("label", Column::Int64s(label)).Abort();
+  out.lake.AddTable(std::move(base)).Abort();
+  out.lake.AddTable(keyed("t1", 20, 10, "k1", "k2", "f1")).Abort();
+  out.lake.AddTable(keyed("t2", 10, 5, "k2", "k3", "f2")).Abort();
+  out.lake.AddTable(keyed("t3", 5, 5, "k3", "", "f3")).Abort();
+  out.lake.AddTable(keyed("u1", 8, 4, "j", "", "g1")).Abort();
+  out.lake.AddTable(keyed("u2", 8, 4, "j", "", "g2")).Abort();
+  for (const std::string& name : out.lake.TableNames()) out.drg.AddNode(name);
+  out.drg.AddEdge("base", "k1", "t1", "k1", 1.0).Abort();
+  out.drg.AddEdge("t1", "k2", "t2", "k2", 1.0).Abort();
+  out.drg.AddEdge("t2", "k3", "t3", "k3", 1.0).Abort();
+  out.drg.AddEdge("u1", "j", "u2", "j", 1.0).Abort();
+  return out;
+}
+
+TEST(JoinIndexCachePrewarmTest, ReachBuildsOnlyTheTargetsWithinMaxHops) {
+  ChainLake chain = MakeChainAndIslandLake();
+  const size_t base = *chain.drg.NodeId("base");
+  // Edges leave the nodes within max_hops - 1 hops of the base; each edge of
+  // the chain is warmed in both orientations once its nearer end is a
+  // source: max_hops 1 warms t1.k1; 2 adds base.k1 and t2.k2; 3 adds t1.k2
+  // and t3.k3; 4 adds t2.k3.
+  const std::vector<std::pair<size_t, size_t>> expected = {
+      {0, 0}, {1, 1}, {2, 3}, {3, 5}, {4, 6}, {8, 6}};
+  for (const auto& [max_hops, entries] : expected) {
+    obs::MetricsRegistry registry;
+    JoinIndexCache cache(&chain.lake, /*seed=*/5, &registry);
+    cache.Prewarm(chain.drg, /*pool=*/nullptr,
+                  JoinIndexCache::Reach{base, max_hops});
+    EXPECT_EQ(cache.num_entries(), entries) << "max_hops " << max_hops;
+    EXPECT_EQ(registry.CounterValue("join_index_cache.builds"), entries)
+        << "max_hops " << max_hops;
+    // The island is never touched: asking for it builds a fresh entry.
+    ASSERT_TRUE(cache.GetOrBuild("u2", "j").ok());
+    EXPECT_EQ(registry.CounterValue("join_index_cache.builds"), entries + 1);
+  }
+  // Without a reach the whole graph is warmed, the island included.
+  obs::MetricsRegistry registry;
+  JoinIndexCache cache(&chain.lake, /*seed=*/5, &registry);
+  cache.Prewarm(chain.drg);
+  EXPECT_EQ(cache.num_entries(), 8u);
+  EXPECT_EQ(registry.CounterValue("join_index_cache.builds"), 8u);
+}
+
+TEST(JoinIndexCachePrewarmTest, ScopedDiscoveryMatchesWholeGraphPrewarm) {
+  ChainLake chain = MakeChainAndIslandLake();
+  for (size_t threads : {1u, 2u, 8u}) {
+    AutoFeatConfig config;
+    config.num_threads = threads;
+    config.metrics_enabled = true;
+    AutoFeat scoped(&chain.lake, &chain.drg, config);
+    auto scoped_result = scoped.DiscoverFeatures("base", "label");
+    ASSERT_TRUE(scoped_result.ok()) << scoped_result.status().ToString();
+    EXPECT_FALSE(scoped_result->ranked.empty());
+    // The chain's six targets, built by the prewarm; every later request
+    // is a hit.
+    EXPECT_EQ(scoped.metrics()->CounterValue("join_index_cache.builds"), 6u);
+
+    JoinIndexCache whole(&chain.lake, config.seed);
+    whole.Prewarm(chain.drg);
+    AutoFeatConfig shared = config;
+    shared.metrics_enabled = false;
+    shared.join_cache = &whole;
+    AutoFeat prewarmed(&chain.lake, &chain.drg, shared);
+    auto whole_result = prewarmed.DiscoverFeatures("base", "label");
+    ASSERT_TRUE(whole_result.ok());
+    EXPECT_EQ(testsupport::RankedFingerprint(*scoped_result),
+              testsupport::RankedFingerprint(*whole_result))
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -158,17 +158,17 @@ inline std::string BenchJsonDir() {
 #endif
 }
 
-/// Writes `BENCH_<name>.json` so the perf trajectory is tracked across PRs
-/// (one file per bench; later runs overwrite). Destination directory comes
-/// from BenchJsonDir() above. Schema (`autofeat.bench.v1`):
+/// Writes the bench record `BENCH_<name>.json` (one file per bench; later
+/// runs overwrite). Destination directory comes from BenchJsonDir() above.
+/// Schema (`autofeat.bench.v1`):
 /// {"schema": "autofeat.bench.v1", "bench": name, "mode": quick|full,
 ///  "timings": [{"phase": ..., "threads": N, "seconds": S}, ...],
 ///  "metrics": {...}}
-/// The metrics block is the obs report of an (untimed) instrumented run —
-/// `{}` when the bench did not attach a registry — so counter trajectories
-/// (cache hits, candidates scored) ride along with the timings. All strings
-/// are JSON-escaped; names with quotes/backslashes survive a round trip.
-/// This is the format tools/bench_diff consumes as a CI regression gate.
+/// The metrics block is the obs report of an instrumented run — `{}` when
+/// the bench did not attach a registry. All strings are JSON-escaped; names
+/// with quotes/backslashes survive a round trip. tools/bench_diff compares
+/// the metrics block's counters and gauges against a committed baseline;
+/// the timings are informational.
 inline bool WriteBenchJson(const std::string& name,
                            const std::vector<BenchTiming>& timings,
                            const obs::MetricsRegistry* metrics = nullptr) {
@@ -196,7 +196,7 @@ inline bool WriteBenchJson(const std::string& name,
     out << "{}";
   }
   out << "\n}\n";
-  std::printf("timings written to %s\n", path.c_str());
+  std::printf("bench record written to %s\n", path.c_str());
   return true;
 }
 

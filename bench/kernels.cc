@@ -8,8 +8,8 @@
 // plain-loop kernel and is timed alone. Each phase reports min-of-reps
 // wall seconds; the su_dense pair is the acceptance gate — the binary
 // exits non-zero if the optimised dense MI/SU path is not at least 2x the
-// reference while a vector backend is compiled in. Emits BENCH_kernels.json
-// for the bench_diff trajectory.
+// reference while a vector backend is compiled in. The timings are printed
+// only; timing claims are made with bench/ledger.
 
 #include <algorithm>
 #include <bit>
@@ -64,9 +64,7 @@ int Run() {
   const size_t n = full ? 400000 : 100000;
   const size_t reps = 5;
   Rng rng(4242);
-  std::vector<BenchTiming> timings;
-  auto record = [&](const std::string& phase, double seconds) {
-    timings.push_back({phase, 1, seconds});
+  auto record = [](const std::string& phase, double seconds) {
     std::printf("  %-28s %9.3f ms\n", phase.c_str(), seconds * 1e3);
   };
 
@@ -167,8 +165,6 @@ int Run() {
   });
   record("gather_reference", gather_ref);
   record("gather_simd", gather_simd);
-
-  WriteBenchJson("kernels", timings);
 
   double su_speedup = su_ref / su_simd;
   std::printf("speedups: su_dense %.2fx, entropy %.2fx, minhash %.2fx, "

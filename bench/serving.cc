@@ -1,40 +1,28 @@
-// AutoFeat-as-a-service: incremental DRG maintenance vs cold rebuilds,
-// plus a YCSB-style mixed mutation/query driver.
+// AutoFeat-as-a-service: incremental DRG maintenance vs cold rebuilds.
 //
 // Builds a 200-table pod lake (datagen::BuildScaleLake) plus a labelled
-// query base table, stands up a LakeService (kLsh candidate mode), then:
+// query base table, stands up a LakeService (kLsh candidate mode), then
+// applies a rotating add/append/drop mutation sequence on one thread with
+// the registry exported. After every mutation the service's incrementally
+// maintained DRG must be byte-identical to a cold BuildDrgByDiscovery over
+// the same lake state, and the summed incremental maintenance time must be
+// at least 5x faster than the summed cold rebuilds. A final Discover on
+// the mutated service must match a cold service built at the final state.
+// Served-query latency beside concurrent writes is measured by the
+// serve_mixed workload of bench/ledger, not here.
 //
-//  1. Gate phase (sequential, exported registry): applies a rotating
-//     add/append/drop mutation sequence. After every mutation the
-//     service's incrementally maintained DRG must be byte-identical to a
-//     cold BuildDrgByDiscovery over the same lake state, and the summed
-//     incremental maintenance time must be at least 5x faster than the
-//     summed cold rebuilds. A final Discover on the mutated service must
-//     match a cold service built at the final state.
-//  2. YCSB-style workloads (separate, unexported service): A (50/50
-//     mutation/query), B (95/5 read-heavy) and C (read-only), each with 4
-//     reader threads + 1 mutator. Per-op latencies land in mergeable
-//     quantile histograms (obs/quantile.h) registered as
-//     `<workload>.query_latency_ns` / `<workload>.mutation_latency_ns`;
-//     the p50/p99 they report feed both the autofeat.bench.v1 timings and
-//     the embedded obs report, where tools/bench_diff gates them with the
-//     timing threshold + --min-seconds noise floor (latency quantiles sit
-//     below the CI floor).
-//
-// Artifacts: BENCH_serving.json (timings + obs report), TRACE_serving.json
-// (gate-phase span tree) and EVENTS_serving.jsonl (structured serving
-// events) at the repo root.
+// Artifacts: BENCH_serving.json (timings + obs report; tools/bench_diff
+// compares its deterministic counters and gauges), TRACE_serving.json
+// (span tree) and EVENTS_serving.jsonl (structured serving events) at the
+// repo root.
 //
 // Self-gating: exits non-zero on any fingerprint divergence or when the
 // incremental speedup falls under 5x. Quick mode shrinks rows and op
 // counts; AUTOFEAT_BENCH_MODE=full scales them up.
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,7 +30,6 @@
 #include "datagen/scale_lake.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/quantile.h"
 #include "obs/trace.h"
 #include "qa/invariants.h"
 #include "serve/lake_service.h"
@@ -123,50 +110,6 @@ std::string QueryFingerprint(serve::LakeService* service) {
   return qa::DiscoveryFingerprint(out->discovery);
 }
 
-inline uint64_t ToNanos(double seconds) {
-  return static_cast<uint64_t>(seconds * 1e9);
-}
-
-// `queries` Discover calls split over `readers` threads, racing one
-// mutator applying `mutations` schema-preserving appends. Per-op latencies
-// go straight into the quantile histograms: each reader records into a
-// thread-local histogram and merges once at the end (the merge is
-// associative, so the aggregate is identical to a single shared sink
-// without readers contending on its buckets). Returns the wall time.
-double RunWorkload(serve::LakeService* service, size_t queries,
-                   size_t mutations, size_t readers,
-                   obs::QuantileHistogram* query_latency,
-                   obs::QuantileHistogram* mutation_latency) {
-  Timer wall;
-  std::vector<std::thread> threads;
-  threads.reserve(readers);
-  const size_t per_reader = readers > 0 ? queries / readers : 0;
-  for (size_t r = 0; r < readers; ++r) {
-    size_t count = per_reader + (r < queries % readers ? 1 : 0);
-    threads.emplace_back([service, count, query_latency] {
-      obs::QuantileHistogram local;
-      for (size_t q = 0; q < count; ++q) {
-        Timer timer;
-        auto out = service->Discover(kBaseTable, kLabelColumn);
-        out.status().Abort("workload query");
-        local.Record(ToNanos(timer.ElapsedSeconds()));
-      }
-      query_latency->Merge(local);
-    });
-  }
-  for (size_t m = 0; m < mutations; ++m) {
-    serve::LakeService::SnapshotPin snap = service->snapshot();
-    const std::string target = "pod" + std::to_string(m % 8) + "_t1";
-    const Table* current = snap->lake.GetTable(target).ValueOrDie();
-    Table rows = MakeAppendRows(*current, DeriveSeed(777, m), 4);
-    Timer timer;
-    service->AppendRows(target, rows).status().Abort("workload mutation");
-    obs::Record(mutation_latency, ToNanos(timer.ElapsedSeconds()));
-  }
-  for (std::thread& t : threads) t.join();
-  return wall.ElapsedSeconds();
-}
-
 int Main() {
   datagen::ScaleLakeSpec spec;
   spec.num_tables = 200;
@@ -179,7 +122,7 @@ int Main() {
   serve::ServeOptions options;
   options.match.candidate_mode = CandidateMode::kLsh;
   options.config.seed = 42;
-  options.config.num_threads = 1;  // gate phase: sequential, deterministic
+  options.config.num_threads = 1;  // sequential, deterministic
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
   obs::EventLog events;
@@ -193,7 +136,7 @@ int Main() {
   std::printf("serving: %zu tables, service up in %.3fs\n", lake.num_tables(),
               create_seconds);
 
-  // ---- Gate phase: incremental maintenance vs cold rebuild per mutation --
+  // ---- Incremental maintenance vs cold rebuild per mutation -------------
   int failures = 0;
   const size_t kMutations = FullMode() ? 21 : 12;
   double incremental_seconds = 0.0;
@@ -265,63 +208,11 @@ int Main() {
     }
   }
 
-  std::vector<BenchTiming> timings;
-  timings.push_back({"service_create", 1, create_seconds});
-  timings.push_back({"mutation_incremental_total", 1, incremental_seconds});
-  timings.push_back({"mutation_cold_rebuild_total", 1, cold_seconds});
-
-  // ---- YCSB-style workloads (fresh unexported service; 4 readers + 1
-  // mutator; latencies land in the timings under the CI noise floor) ------
-  struct Workload {
-    const char* label;
-    size_t queries;
-    size_t mutations;
-  };
-  const size_t ops = FullMode() ? 400 : 48;
-  const Workload workloads[] = {
-      {"ycsb_a", ops / 2, ops / 2},              // 50/50 update-heavy
-      {"ycsb_b", ops - ops / 20, ops / 20},      // 95/5 read-heavy
-      {"ycsb_c", ops, 0},                        // read-only
-  };
-  for (const Workload& w : workloads) {
-    auto fresh = serve::LakeService::Create(service->snapshot()->lake, options);
-    fresh.status().Abort("workload service");
-    // Per-workload latency sinks, registered in the exported registry so
-    // bench_diff gates their p50/p99 from the embedded obs report.
-    obs::QuantileHistogram* query_latency = metrics.GetQuantile(
-        std::string(w.label) + ".query_latency_ns");
-    obs::QuantileHistogram* mutation_latency = metrics.GetQuantile(
-        std::string(w.label) + ".mutation_latency_ns");
-    const double wall_seconds =
-        RunWorkload(fresh->get(), w.queries, w.mutations, /*readers=*/4,
-                    query_latency, mutation_latency);
-    const double throughput =
-        wall_seconds > 0
-            ? static_cast<double>(w.queries + w.mutations) / wall_seconds
-            : 0.0;
-    auto quantile_seconds = [&](const obs::QuantileHistogram& h, double q) {
-      return static_cast<double>(h.ValueAtQuantile(q)) / 1e9;
-    };
-    std::printf(
-        "  %s: %zu queries + %zu mutations in %.3fs (%.0f ops/s), query "
-        "p50 %.1fms p99 %.1fms\n",
-        w.label, w.queries, w.mutations, wall_seconds, throughput,
-        quantile_seconds(*query_latency, 0.50) * 1e3,
-        quantile_seconds(*query_latency, 0.99) * 1e3);
-    timings.push_back({std::string(w.label) + "_wall", 4, wall_seconds});
-    timings.push_back({std::string(w.label) + "_query_p50", 4,
-                       quantile_seconds(*query_latency, 0.50)});
-    timings.push_back({std::string(w.label) + "_query_p99", 4,
-                       quantile_seconds(*query_latency, 0.99)});
-    if (w.mutations > 0) {
-      timings.push_back({std::string(w.label) + "_mutation_p50", 1,
-                         quantile_seconds(*mutation_latency, 0.50)});
-      timings.push_back({std::string(w.label) + "_mutation_p99", 1,
-                         quantile_seconds(*mutation_latency, 0.99)});
-    }
-  }
-
-  WriteBenchJson("serving", timings, &metrics);
+  WriteBenchJson("serving",
+                 {{"service_create", 1, create_seconds},
+                  {"mutation_incremental_total", 1, incremental_seconds},
+                  {"mutation_cold_rebuild_total", 1, cold_seconds}},
+                 &metrics);
   WriteBenchTrace("serving", tracer);
   WriteBenchEvents("serving", events);
   if (failures > 0) {

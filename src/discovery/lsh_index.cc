@@ -43,8 +43,15 @@ MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
 
 namespace {
 
+// Bands x rows-per-band = signature width. More bands raise recall at low
+// Jaccard; more rows per band sharpen the threshold. 32 x 2 catches
+// Jaccard >= 0.3 pairs with > 95% probability.
+constexpr size_t kNumBands = 32;
+constexpr size_t kRowsPerBand = 2;
+constexpr size_t kNumHashes = kNumBands * kRowsPerBand;
+
 // A column in the index: table position, column position, and its true
-// distinct count (for the optional cardinality-ratio bound).
+// distinct count.
 struct ColumnRef {
   uint32_t table = 0;
   uint32_t column = 0;
@@ -61,15 +68,6 @@ uint64_t BandContentHash(const uint64_t* mins, size_t rows) {
   return h;
 }
 
-// The optional FREYJA-style bound: false when the two distinct counts
-// differ by more than options.max_cardinality_ratio.
-bool WithinCardinalityRatio(uint64_t a, uint64_t b,
-                            const LshOptions& options) {
-  if (options.max_cardinality_ratio <= 0) return true;
-  return static_cast<double>(std::max(a, b)) <=
-         options.max_cardinality_ratio * static_cast<double>(std::min(a, b));
-}
-
 }  // namespace
 
 ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
@@ -77,29 +75,23 @@ ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
                                          const LshOptions& options) {
   ColumnLshProfile profile;
   profile.num_distinct = sketch.num_distinct;
-  MinHashSignature sig;
-  if (sketch.num_distinct >= options.min_distinct) {
-    sig = ComputeMinHashSignature(sketch, options.num_hashes());
-  }
+  const MinHashSignature sig = ComputeMinHashSignature(sketch, kNumHashes);
   // Small-column rescue: every sketch hash gets its own bucket, so two
   // rescued columns whose sketches intersect at all are guaranteed a
   // collision, covering asymmetric containment joins banding would miss.
   const bool rescued = options.small_column_rescue > 0 &&
                        !sketch.hashes.empty() &&
-                       sketch.num_distinct >= options.min_distinct &&
                        sketch.num_distinct <= options.small_column_rescue;
   if (sig.empty() && !rescued) return profile;
   profile.indexed = true;
   const uint64_t group = type != DataType::kDouble ? 1 : 0;
-  for (size_t b = 0; b * options.rows_per_band < sig.mins.size(); ++b) {
-    uint64_t content = BandContentHash(
-        sig.mins.data() + b * options.rows_per_band,
-        std::min(options.rows_per_band,
-                 sig.mins.size() - b * options.rows_per_band));
+  for (size_t b = 0; !sig.empty() && b < kNumBands; ++b) {
+    uint64_t content =
+        BandContentHash(sig.mins.data() + b * kRowsPerBand, kRowsPerBand);
     profile.bucket_keys.push_back(DeriveSeed(content, 2 * b + group));
   }
   if (rescued) {
-    const uint64_t rescue_stream = 2 * options.num_bands + group;
+    const uint64_t rescue_stream = 2 * kNumBands + group;
     for (uint64_t h : sketch.hashes) {
       profile.bucket_keys.push_back(DeriveSeed(h, rescue_stream));
     }
@@ -119,12 +111,9 @@ std::vector<ColumnLshProfile> ComputeTableLshProfiles(
   return profiles;
 }
 
-bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b,
-                        const LshOptions& options) {
+bool LshProfilesCollide(const ColumnLshProfile& a,
+                        const ColumnLshProfile& b) {
   if (!a.indexed || !b.indexed) return false;
-  if (!WithinCardinalityRatio(a.num_distinct, b.num_distinct, options)) {
-    return false;
-  }
   // Sorted-list intersection over the bucket keys.
   size_t i = 0, j = 0;
   while (i < a.bucket_keys.size() && j < b.bucket_keys.size()) {
@@ -139,11 +128,10 @@ bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b,
 }
 
 bool LshTablesCollide(const std::vector<ColumnLshProfile>& a,
-                      const std::vector<ColumnLshProfile>& b,
-                      const LshOptions& options) {
+                      const std::vector<ColumnLshProfile>& b) {
   for (const ColumnLshProfile& ca : a) {
     for (const ColumnLshProfile& cb : b) {
-      if (LshProfilesCollide(ca, cb, options)) return true;
+      if (LshProfilesCollide(ca, cb)) return true;
     }
   }
   return false;
@@ -185,7 +173,7 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
       ++index.columns_indexed_;
       // An indexed column carries a full-width signature.
       index.signature_bytes_ +=
-          sizeof(MinHashSignature) + options.num_hashes() * sizeof(uint64_t);
+          sizeof(MinHashSignature) + kNumHashes * sizeof(uint64_t);
       ColumnRef ref{static_cast<uint32_t>(t), static_cast<uint32_t>(c),
                     profile.num_distinct};
       for (uint64_t key : profile.bucket_keys) buckets[key].push_back(ref);
@@ -203,10 +191,6 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
     for (size_t a = 0; a < refs.size(); ++a) {
       for (size_t b = a + 1; b < refs.size(); ++b) {
         if (refs[a].table == refs[b].table) continue;
-        if (!WithinCardinalityRatio(refs[a].num_distinct,
-                                    refs[b].num_distinct, options)) {
-          continue;
-        }
         ++index.bucket_collisions_;
         pairs.emplace_back(std::min(refs[a].table, refs[b].table),
                            std::max(refs[a].table, refs[b].table));
@@ -217,7 +201,7 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   index.pairs_ = std::move(pairs);
 
-  obs::Increment(obs::GetCounter(metrics, "lsh.bands"), options.num_bands);
+  obs::Increment(obs::GetCounter(metrics, "lsh.bands"), kNumBands);
   obs::Increment(obs::GetCounter(metrics, "lsh.signature_bytes"),
                  index.signature_bytes_);
   obs::Increment(obs::GetCounter(metrics, "lsh.columns_indexed"),

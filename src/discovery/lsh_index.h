@@ -15,8 +15,8 @@
 // mechanisms cover the two overlap regimes:
 //
 //  * banding — b bands of r rows collide with probability 1-(1-s^r)^b for
-//    Jaccard similarity s; the defaults (32 x 2) catch s >= 0.3 with
-//    >95% coverage, which is the regime of genuine key↔key joins;
+//    Jaccard similarity s; the fixed 32 bands of 2 rows catch s >= 0.3
+//    with >95% coverage, which is the regime of genuine key↔key joins;
 //  * small-column rescue — asymmetric containment (a tiny FK domain inside
 //    a large PK range) has near-zero Jaccard, so columns with at most
 //    `small_column_rescue` distinct values additionally index every sketch
@@ -55,35 +55,20 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-/// \brief Tuning knobs of the candidate generator. Defaults are chosen for
-/// recall (a missed candidate silently drops a DRG edge; a spurious one
-/// only costs one exact scoring call).
+/// \brief Tuning knob of the candidate generator. The default is chosen
+/// for recall (a missed candidate silently drops a DRG edge; a spurious one
+/// only costs one exact scoring call). Every non-empty column is indexed
+/// under 32 bands of 2 rows.
 struct LshOptions {
-  /// Bands x rows-per-band = signature width. More bands raise recall at
-  /// low Jaccard; more rows per band sharpen the threshold. 32 x 2 catches
-  /// Jaccard >= 0.3 pairs with > 95% probability.
-  size_t num_bands = 32;
-  size_t rows_per_band = 2;
-  /// Cheap-profile prefilter: columns with fewer distinct non-null values
-  /// than this never enter the index (1 = index everything non-empty; the
-  /// exact matcher already discounts low-cardinality evidence, so raising
-  /// this trades recall for fewer candidates).
-  size_t min_distinct = 1;
-  /// Cheap-profile prefilter: when > 0, bucket collisions between columns
-  /// whose distinct counts differ by more than this factor are ignored
-  /// (FREYJA-style cardinality-ratio bound). 0 disables the bound.
-  double max_cardinality_ratio = 0.0;
   /// Columns with at most this many distinct values index every sketch
   /// value hash in addition to their bands (containment rescue — see file
   /// comment). 0 disables the rescue.
   size_t small_column_rescue = 64;
-
-  size_t num_hashes() const { return num_bands * rows_per_band; }
 };
 
 /// \brief Fixed-width MinHash signature of one column sketch. `mins[k]` is
 /// the minimum of the k-th derived hash over the sketch's hashes; empty
-/// when the column was not indexed (empty sketch or filtered out).
+/// when the column was not indexed (empty sketch).
 struct MinHashSignature {
   std::vector<uint64_t> mins;
 
@@ -115,12 +100,12 @@ MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
 struct ColumnLshProfile {
   /// Sorted bucket keys in one keyspace, separated by derivation stream:
   /// band b of type group g is DeriveSeed(band content, 2b + g); each
-  /// rescued sketch hash h is DeriveSeed(h, 2 * num_bands + g). Key-like
+  /// rescued sketch hash h is DeriveSeed(h, 2 * 32 + g). Key-like
   /// columns (int64/string, g = 1) and doubles (g = 0) never share a key,
   /// mirroring the matcher's join-plausibility filter.
   std::vector<uint64_t> bucket_keys;
   uint64_t num_distinct = 0;
-  /// False when the column enters no bucket (empty/filtered sketch).
+  /// False when the column enters no bucket (empty sketch).
   bool indexed = false;
 };
 
@@ -136,16 +121,13 @@ std::vector<ColumnLshProfile> ComputeTableLshProfiles(
     const LshOptions& options);
 
 /// True iff the two columns would share a bucket in the cold index (sorted
-/// key intersection), subject to the same cardinality-ratio bound Build
-/// applies to collisions.
-bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b,
-                        const LshOptions& options);
+/// key intersection).
+bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b);
 
 /// True iff any column pair across the two tables collides — i.e. the cold
 /// index would emit this table pair as a candidate.
 bool LshTablesCollide(const std::vector<ColumnLshProfile>& a,
-                      const std::vector<ColumnLshProfile>& b,
-                      const LshOptions& options);
+                      const std::vector<ColumnLshProfile>& b);
 
 /// \brief Banded LSH index over every column of a lake, emitting candidate
 /// table pairs for exact DRG scoring.
@@ -156,9 +138,9 @@ class LshCandidateIndex {
   /// sketches in `cache`, files each profile's bucket keys, and
   /// materialises the sorted, deduplicated candidate table-pair list.
   ///
-  /// A non-null `metrics` records `lsh.bands` (configured band count),
+  /// A non-null `metrics` records `lsh.bands` (the band count, 32),
   /// `lsh.signature_bytes` (total signature footprint), `lsh.columns_indexed`
-  /// / `lsh.columns_skipped` (prefilter effect), `lsh.bucket_collisions`
+  /// / `lsh.columns_skipped` (empty columns), `lsh.bucket_collisions`
   /// (cross-table column collisions before table-pair dedup) and maintains
   /// the `lsh_index.bytes` / `.bytes_peak` gauges from ApproxBytes().
   /// Profile building records `sketch.minhash` worker spans into the

@@ -11,6 +11,9 @@
 namespace autofeat::obs {
 namespace {
 
+// Relative drift tolerated for metric values (growth-only for bytes).
+constexpr double kMetricThreshold = 0.10;
+
 bool SkippedMetric(const std::string& name) {
   // Scheduling- and OS-dependent series: meaningless in an A/B gate.
   return name.rfind("thread_pool.", 0) == 0 || name.rfind("process.", 0) == 0;
@@ -39,50 +42,6 @@ Result<std::string> RequireString(const JsonValue& doc, const char* key) {
   return v->str;
 }
 
-// phase@threads -> seconds, in file order via std::map for stable output.
-Result<std::map<std::string, double>> CollectTimings(const JsonValue& doc) {
-  const JsonValue* timings = doc.Find("timings");
-  if (timings == nullptr || !timings->is_array()) {
-    return Status::InvalidArgument("bench JSON has no \"timings\" array");
-  }
-  std::map<std::string, double> out;
-  for (const JsonValue& row : timings->items) {
-    const JsonValue* phase = row.Find("phase");
-    const JsonValue* threads = row.Find("threads");
-    const JsonValue* seconds = row.Find("seconds");
-    if (phase == nullptr || !phase->is_string() || threads == nullptr ||
-        !threads->is_number() || seconds == nullptr || !seconds->is_number()) {
-      return Status::InvalidArgument(
-          "bench JSON timing row missing phase/threads/seconds");
-    }
-    std::string key = phase->str + "@" +
-                      std::to_string(static_cast<long long>(threads->number));
-    out[key] = seconds->number;
-  }
-  return out;
-}
-
-// `name/pXX` -> seconds for the `_ns`-suffixed latency quantile series in
-// the embedded report's metrics.quantiles block. Only nanosecond series are
-// gated — they are the latency convention; anything else has no known unit.
-std::map<std::string, double> CollectQuantiles(const JsonValue& doc) {
-  std::map<std::string, double> out;
-  const JsonValue* metrics = doc.Find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) return out;
-  const JsonValue* block = metrics->Find("quantiles");
-  if (block == nullptr || !block->is_object()) return out;
-  for (const auto& [name, value] : block->fields) {
-    if (!value.is_object() || !EndsWith(name, "_ns")) continue;
-    for (const char* q : {"p50", "p99"}) {
-      const JsonValue* v = value.Find(q);
-      if (v != nullptr && v->is_number()) {
-        out[name + "/" + q] = v->number / 1e9;
-      }
-    }
-  }
-  return out;
-}
-
 // Flattens metrics.counters and metrics.gauges into one name -> value map.
 std::map<std::string, double> CollectMetrics(const JsonValue& doc) {
   std::map<std::string, double> out;
@@ -104,8 +63,6 @@ bool BenchDiffReport::ok() const { return num_regressions() == 0; }
 
 size_t BenchDiffReport::num_regressions() const {
   size_t n = 0;
-  for (const BenchDiffEntry& e : timings) n += e.regression ? 1 : 0;
-  for (const BenchDiffEntry& e : quantiles) n += e.regression ? 1 : 0;
   for (const BenchDiffEntry& e : metrics) n += e.regression ? 1 : 0;
   return n;
 }
@@ -114,18 +71,12 @@ std::string BenchDiffReport::Summary() const {
   std::ostringstream out;
   char buf[256];
   out << "bench_diff: " << bench << "\n";
-  auto print = [&](const char* kind, const std::vector<BenchDiffEntry>& rows) {
-    for (const BenchDiffEntry& e : rows) {
-      std::snprintf(buf, sizeof(buf), "  %-10s %-44s %14.6f %14.6f %+7.1f%% %s\n",
-                    kind, e.name.c_str(), e.baseline, e.current,
-                    e.delta_ratio * 100.0,
-                    e.regression ? "REGRESSION" : "ok");
-      out << buf;
-    }
-  };
-  print("timing", timings);
-  print("quantile", quantiles);
-  print("metric", metrics);
+  for (const BenchDiffEntry& e : metrics) {
+    std::snprintf(buf, sizeof(buf), "  %-44s %14.6f %14.6f %+7.1f%% %s\n",
+                  e.name.c_str(), e.baseline, e.current, e.delta_ratio * 100.0,
+                  e.regression ? "REGRESSION" : "ok");
+    out << buf;
+  }
   for (const std::string& note : notes) out << "  note: " << note << "\n";
   std::snprintf(buf, sizeof(buf), "  %zu regression(s)\n", num_regressions());
   out << buf;
@@ -133,8 +84,7 @@ std::string BenchDiffReport::Summary() const {
 }
 
 Result<BenchDiffReport> DiffBenchReports(const std::string& baseline_json,
-                                         const std::string& current_json,
-                                         const BenchDiffOptions& options) {
+                                         const std::string& current_json) {
   AF_ASSIGN_OR_RETURN(JsonValue baseline, ParseJson(baseline_json));
   AF_ASSIGN_OR_RETURN(JsonValue current, ParseJson(current_json));
 
@@ -157,56 +107,6 @@ Result<BenchDiffReport> DiffBenchReports(const std::string& baseline_json,
   BenchDiffReport report;
   report.bench = baseline_bench;
 
-  AF_ASSIGN_OR_RETURN(auto baseline_timings, CollectTimings(baseline));
-  AF_ASSIGN_OR_RETURN(auto current_timings, CollectTimings(current));
-  for (const auto& [name, base_s] : baseline_timings) {
-    auto it = current_timings.find(name);
-    if (it == current_timings.end()) {
-      report.notes.push_back("timing only in baseline: " + name);
-      continue;
-    }
-    BenchDiffEntry entry;
-    entry.name = name;
-    entry.baseline = base_s;
-    entry.current = it->second;
-    entry.delta_ratio = Ratio(base_s, it->second);
-    entry.regression = it->second - base_s > options.min_seconds &&
-                       it->second > base_s * (1.0 + options.time_threshold);
-    report.timings.push_back(std::move(entry));
-  }
-  for (const auto& [name, cur_s] : current_timings) {
-    (void)cur_s;
-    if (baseline_timings.find(name) == baseline_timings.end()) {
-      report.notes.push_back("timing only in current: " + name);
-    }
-  }
-
-  // Latency quantiles gate like timings: a slowdown must clear both the
-  // relative threshold and the absolute noise floor to flag.
-  auto baseline_quantiles = CollectQuantiles(baseline);
-  auto current_quantiles = CollectQuantiles(current);
-  for (const auto& [name, base_s] : baseline_quantiles) {
-    auto it = current_quantiles.find(name);
-    if (it == current_quantiles.end()) {
-      report.notes.push_back("quantile only in baseline: " + name);
-      continue;
-    }
-    BenchDiffEntry entry;
-    entry.name = name;
-    entry.baseline = base_s;
-    entry.current = it->second;
-    entry.delta_ratio = Ratio(base_s, it->second);
-    entry.regression = it->second - base_s > options.min_seconds &&
-                       it->second > base_s * (1.0 + options.time_threshold);
-    report.quantiles.push_back(std::move(entry));
-  }
-  for (const auto& [name, cur_s] : current_quantiles) {
-    (void)cur_s;
-    if (baseline_quantiles.find(name) == baseline_quantiles.end()) {
-      report.notes.push_back("quantile only in current: " + name);
-    }
-  }
-
   auto baseline_metrics = CollectMetrics(baseline);
   auto current_metrics = CollectMetrics(current);
   for (const auto& [name, base_v] : baseline_metrics) {
@@ -221,12 +121,10 @@ Result<BenchDiffReport> DiffBenchReports(const std::string& baseline_json,
     entry.baseline = base_v;
     entry.current = it->second;
     entry.delta_ratio = Ratio(base_v, it->second);
-    if (IsByteGauge(name)) {
-      entry.regression = entry.delta_ratio > options.metric_threshold;
-    } else {
-      entry.regression =
-          std::abs(entry.delta_ratio) > options.metric_threshold;
-    }
+    entry.regression =
+        (IsByteGauge(name) ? entry.delta_ratio
+                           : std::abs(entry.delta_ratio)) >
+        kMetricThreshold;
     report.metrics.push_back(std::move(entry));
   }
   for (const auto& [name, cur_v] : current_metrics) {

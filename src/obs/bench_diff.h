@@ -1,18 +1,13 @@
 // A/B comparison of two BENCH_*.json records (bench/harness.h schema).
 //
-// Timings are keyed by `phase@threads` and flagged when the current run is
-// slower than baseline by more than a relative threshold *and* an absolute
-// noise floor (min_seconds) — sub-10ms phases jitter too much for a pure
-// ratio test. Latency quantile series from the embedded obs report
-// (`metrics.quantiles`, obs/quantile.h) are gated the same way: every
-// `_ns`-suffixed quantile histogram contributes `name/p50` and `name/p99`
-// entries, converted to seconds, under the timing threshold + noise floor
-// rule. Metrics come from the embedded obs report: deterministic
-// counters/gauges are pure functions of (inputs, seed), so any drift
-// between runs of the same workload is a behavioural change and is
-// flagged in either direction; `.bytes` / `.bytes_peak` gauges are
-// memory-regression gates and only flag on growth. Scheduling-dependent
-// series (`thread_pool.*`, `process.*`) are skipped.
+// Only the embedded obs report's counters and gauges are compared. They are
+// pure functions of (inputs, seed), so any drift of more than 10% between
+// runs of the same workload is a behavioural change and is flagged in
+// either direction; `.bytes` / `.bytes_peak` gauges are memory-regression
+// gates and only flag on growth. Scheduling-dependent series
+// (`thread_pool.*`, `process.*`) are skipped. Wall-clock timings and
+// latency quantiles are not compared: timing claims are made with
+// bench/ledger, which repeats runs and bounds their spread.
 
 #ifndef AUTOFEAT_OBS_BENCH_DIFF_H_
 #define AUTOFEAT_OBS_BENCH_DIFF_H_
@@ -24,16 +19,7 @@
 
 namespace autofeat::obs {
 
-struct BenchDiffOptions {
-  /// Relative slowdown tolerated before a timing counts as a regression.
-  double time_threshold = 0.10;
-  /// Relative drift tolerated for metric values (growth-only for bytes).
-  double metric_threshold = 0.10;
-  /// Absolute timing noise floor: deltas below this never flag.
-  double min_seconds = 0.01;
-};
-
-/// \brief One compared entry (a timing phase or a metric).
+/// \brief One compared metric.
 struct BenchDiffEntry {
   std::string name;
   double baseline = 0.0;
@@ -45,11 +31,8 @@ struct BenchDiffEntry {
 
 struct BenchDiffReport {
   std::string bench;
-  std::vector<BenchDiffEntry> timings;
-  /// `name/pXX` latency-quantile entries (seconds), timing-gated.
-  std::vector<BenchDiffEntry> quantiles;
   std::vector<BenchDiffEntry> metrics;
-  /// Non-fatal observations: phases/metrics present on only one side.
+  /// Non-fatal observations: metrics present on only one side.
   std::vector<std::string> notes;
 
   bool ok() const;
@@ -59,11 +42,9 @@ struct BenchDiffReport {
 };
 
 /// \brief Parses and compares two BENCH_*.json documents (contents, not
-/// paths). Errors on malformed JSON, missing `timings`, or mismatched
-/// bench names/modes.
+/// paths). Errors on malformed JSON or mismatched bench names/modes.
 Result<BenchDiffReport> DiffBenchReports(const std::string& baseline_json,
-                                         const std::string& current_json,
-                                         const BenchDiffOptions& options = {});
+                                         const std::string& current_json);
 
 }  // namespace autofeat::obs
 

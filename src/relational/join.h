@@ -86,9 +86,8 @@ inline Result<JoinResult> LeftJoin(const Table& left,
 /// Reference implementation of Join that compares keys as KeyAt strings and
 /// hashes the right side per call. The oracle the dictionary-encoded Join
 /// and the engine's index-based joins are checked against (join tests, the
-/// qa invariant join.interned_matches_reference, engine_join_oracle_test)
-/// and the micro_join_string_keyed row of bench/join_path_eval; the engine
-/// never calls it.
+/// qa invariant join.interned_matches_reference, engine_join_oracle_test);
+/// the engine never calls it.
 Result<JoinResult> JoinStringKeyed(const Table& left,
                                    const std::string& left_key,
                                    const Table& right,

@@ -150,8 +150,8 @@ Status LakeService::RematchTable(const LakeSnapshot& snap,
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t u = 0; u < n; ++u) {
     if (u == target_idx) continue;
-    if (lsh && !LshTablesCollide(*tprof, ProfileFor(snap, u, tables[u].name()),
-                                 options_.match.lsh)) {
+    if (lsh &&
+        !LshTablesCollide(*tprof, ProfileFor(snap, u, tables[u].name()))) {
       obs::Increment(pairs_skipped_);
       if (stats != nullptr) ++stats->skipped;
       continue;

@@ -1,6 +1,6 @@
 // MinHash-LSH candidate index: signature determinism, banding recall on
-// high-Jaccard pairs, the small-column containment rescue, cheap-profile
-// prefilters, thread-count independence, and the BuildDrgByDiscovery
+// high-Jaccard pairs, the small-column containment rescue, type-group
+// separation, thread-count independence, and the BuildDrgByDiscovery
 // candidate_mode wiring (LSH subset equality + the all-pairs fallback when
 // the threshold is reachable on name evidence alone).
 
@@ -128,36 +128,6 @@ TEST(LshCandidateIndexTest, SmallColumnRescueCatchesContainment) {
                   .empty());
 }
 
-TEST(LshCandidateIndexTest, MinDistinctPrefilterSkipsColumns) {
-  DataLake lake;
-  ASSERT_TRUE(lake.AddTable(MakeKeyTable("left", "flag", 0, 2)).ok());
-  ASSERT_TRUE(lake.AddTable(MakeKeyTable("right", "flag", 0, 2)).ok());
-  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshOptions options;
-  options.min_distinct = 3;
-  LshCandidateIndex index = LshCandidateIndex::Build(lake, cache, options);
-  EXPECT_TRUE(index.candidate_table_pairs().empty());
-  EXPECT_EQ(index.num_indexed_columns(), 0u);
-  EXPECT_EQ(index.num_skipped_columns(), 2u);
-}
-
-TEST(LshCandidateIndexTest, CardinalityRatioBoundPrunesAsymmetricPairs) {
-  DataLake lake;
-  ASSERT_TRUE(lake.AddTable(MakeKeyTable("small", "id", 0, 4)).ok());
-  ASSERT_TRUE(lake.AddTable(MakeKeyTable("large", "id", 0, 64)).ok());
-  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshOptions options;
-  options.max_cardinality_ratio = 4.0;  // 64/4 = 16 > 4: prune
-  EXPECT_TRUE(LshCandidateIndex::Build(lake, cache, options)
-                  .candidate_table_pairs()
-                  .empty());
-  options.max_cardinality_ratio = 32.0;  // 16 <= 32: keep
-  EXPECT_EQ(LshCandidateIndex::Build(lake, cache, options)
-                .candidate_table_pairs()
-                .size(),
-            1u);
-}
-
 TEST(LshCandidateIndexTest, TypeGroupsNeverShareBuckets) {
   // An int64 column and a double column with byte-identical value strings
   // must not collide: the exact matcher would never score that pair.
@@ -202,7 +172,8 @@ TEST(LshCandidateIndexTest, ThreadCountIndependent) {
 TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
   // One banding path: the cold index files the same profiles the serving
   // layer intersects pairwise, so its candidates must be exactly the table
-  // pairs LshTablesCollide accepts, under every option that shapes buckets.
+  // pairs LshTablesCollide accepts, with and without the small-column
+  // rescue.
   datagen::ScaleLakeSpec spec;
   spec.num_tables = 20;
   spec.rows = 48;  // key and feature columns under the default rescue
@@ -214,10 +185,8 @@ TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("superset", "key_p1", 48, 248)).ok());
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
 
-  std::vector<LshOptions> variants(4);
+  std::vector<LshOptions> variants(2);
   variants[1].small_column_rescue = 0;
-  variants[2].min_distinct = 8;
-  variants[3].max_cardinality_ratio = 4.0;
   for (size_t v = 0; v < variants.size(); ++v) {
     const LshOptions& options = variants[v];
     std::vector<std::vector<ColumnLshProfile>> profiles;
@@ -228,7 +197,7 @@ TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
     std::vector<std::pair<size_t, size_t>> want;
     for (size_t i = 0; i < profiles.size(); ++i) {
       for (size_t j = i + 1; j < profiles.size(); ++j) {
-        if (LshTablesCollide(profiles[i], profiles[j], options)) {
+        if (LshTablesCollide(profiles[i], profiles[j])) {
           want.emplace_back(i, j);
         }
       }
@@ -249,7 +218,7 @@ TEST(LshCandidateIndexTest, RecordsCountersAndByteGauges) {
   obs::MetricsRegistry metrics;
   LshCandidateIndex index =
       LshCandidateIndex::Build(lake, cache, LshOptions{}, nullptr, &metrics);
-  EXPECT_EQ(metrics.GetCounter("lsh.bands")->value(), LshOptions{}.num_bands);
+  EXPECT_EQ(metrics.GetCounter("lsh.bands")->value(), 32u);
   EXPECT_EQ(metrics.GetCounter("lsh.signature_bytes")->value(),
             index.signature_bytes());
   EXPECT_GT(metrics.GetCounter("lsh.columns_indexed")->value(), 0u);

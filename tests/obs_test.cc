@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -345,6 +346,51 @@ TEST(MetricsAssertionsTest, DigestIdenticalAcrossThreadCounts) {
     } else {
       EXPECT_EQ(digest, expected)
           << "metrics digest diverged at " << threads << " threads";
+    }
+  }
+
+  // The data-lake pipeline: one registry and tracer span the discovered
+  // DRG (all pairs at threshold 0.55, sketched and scored on the pool),
+  // Discover and Augment, so the digest covers DRG construction and model
+  // training as well as discovery.
+  std::string expected_pipeline;
+  double expected_accuracy = 0.0;
+  for (size_t threads : {1u, 4u}) {
+    obs::MetricsRegistry metrics;
+    obs::Tracer tracer;
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) {
+      pool = std::make_unique<ThreadPool>(threads);
+      pool->set_metrics(&metrics);
+      pool->set_tracer(&tracer);
+    }
+    MatchOptions match;
+    match.threshold = 0.55;
+    auto discovered =
+        BuildDrgByDiscovery(built.lake, match, pool.get(), &metrics);
+    ASSERT_TRUE(discovered.ok());
+    ASSERT_GT(discovered->num_edges(), 0u);
+    AutoFeatConfig config;
+    config.sample_rows = 200;
+    config.num_threads = threads;
+    config.metrics_enabled = true;
+    config.metrics = &metrics;
+    config.tracer = &tracer;
+    AutoFeat engine(&built.lake, &*discovered, config);
+    ASSERT_TRUE(
+        engine.DiscoverFeatures(built.base_table, built.label_column).ok());
+    auto augmented = engine.Augment(built.base_table, built.label_column,
+                                    ml::ModelKind::kRandomForest);
+    ASSERT_TRUE(augmented.ok());
+    std::string digest = obs::DeterministicDigest(metrics, &tracer);
+    if (threads == 1) {
+      expected_pipeline = digest;
+      expected_accuracy = augmented->accuracy;
+    } else {
+      EXPECT_EQ(digest, expected_pipeline)
+          << "discovered-DRG + Augment digest diverged at " << threads
+          << " threads";
+      EXPECT_EQ(augmented->accuracy, expected_accuracy);
     }
   }
 }

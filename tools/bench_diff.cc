@@ -2,20 +2,18 @@
 //
 // Usage:
 //   bench_diff BASELINE.json CURRENT.json
-//              [--time-threshold F] [--metric-threshold F]
-//              [--min-seconds F]
 //
-// Compares the bench harness records phase-by-phase (timings keyed by
-// phase@threads) and metric-by-metric (deterministic counters/gauges from
-// the embedded obs report; `.bytes` gauges flag on growth only,
-// `thread_pool.*` / `process.*` are skipped as scheduling-dependent).
+// Compares the deterministic counters and gauges of the embedded obs
+// reports: drift of more than 10% in either direction flags, `.bytes` /
+// `.bytes_peak` gauges flag on growth only, and `thread_pool.*` /
+// `process.*` are skipped as scheduling-dependent. Timings are not
+// compared; timing claims come from bench/ledger.
 //
-// Exit status: 0 = within thresholds, 1 = regression(s) found, 2 = usage
+// Exit status: 0 = within threshold, 1 = regression(s) found, 2 = usage
 // or parse error. Designed for CI: run the bench, then diff against the
 // committed baseline.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,18 +25,9 @@ namespace {
 using namespace autofeat;
 
 void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: bench_diff BASELINE.json CURRENT.json\n"
-      "                  [--time-threshold F] [--metric-threshold F]\n"
-      "                  [--min-seconds F]\n"
-      "  --time-threshold F    relative slowdown tolerated per phase\n"
-      "                        (default 0.10 = +10%%)\n"
-      "  --metric-threshold F  relative drift tolerated per metric\n"
-      "                        (default 0.10; .bytes gauges flag on growth\n"
-      "                        only)\n"
-      "  --min-seconds F       absolute timing noise floor (default 0.01)\n"
-      "exit: 0 = ok, 1 = regression, 2 = usage/parse error\n");
+  std::fprintf(stderr,
+               "usage: bench_diff BASELINE.json CURRENT.json\n"
+               "exit: 0 = ok, 1 = regression, 2 = usage/parse error\n");
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -53,42 +42,12 @@ bool ReadFile(const std::string& path, std::string* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path, current_path;
-  obs::BenchDiffOptions options;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--time-threshold") {
-      const char* v = next();
-      if (!v) { PrintUsage(); return 2; }
-      options.time_threshold = std::atof(v);
-    } else if (arg == "--metric-threshold") {
-      const char* v = next();
-      if (!v) { PrintUsage(); return 2; }
-      options.metric_threshold = std::atof(v);
-    } else if (arg == "--min-seconds") {
-      const char* v = next();
-      if (!v) { PrintUsage(); return 2; }
-      options.min_seconds = std::atof(v);
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return 2;
-    } else if (baseline_path.empty()) {
-      baseline_path = arg;
-    } else if (current_path.empty()) {
-      current_path = arg;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      PrintUsage();
-      return 2;
-    }
-  }
-  if (baseline_path.empty() || current_path.empty()) {
+  if (argc != 3) {
     PrintUsage();
     return 2;
   }
+  const std::string baseline_path = argv[1];
+  const std::string current_path = argv[2];
 
   std::string baseline_json, current_json;
   if (!ReadFile(baseline_path, &baseline_json)) {
@@ -100,7 +59,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto report = obs::DiffBenchReports(baseline_json, current_json, options);
+  auto report = obs::DiffBenchReports(baseline_json, current_json);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 2;

@@ -255,10 +255,7 @@ Result<DiscoveryResult> AutoFeat::DiscoverFeatures(
       if (right->HasColumn(label_column)) continue;
 
       // Similarity-score pruning keeps only the best join columns (§IV-C).
-      std::vector<JoinStep> edges =
-          config_.prune_join_columns ? drg_->BestEdgesBetween(tail, neighbor)
-                                     : drg_->EdgesBetween(tail, neighbor);
-      for (const JoinStep& edge : edges) {
+      for (const JoinStep& edge : drg_->BestEdgesBetween(tail, neighbor)) {
         if (result.paths_explored >= config_.max_paths) break;
         // Never join on the target column: a label-valued join key leaks
         // the label into the appended features.

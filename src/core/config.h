@@ -54,10 +54,6 @@ struct AutoFeatConfig {
   bool use_relevance = true;
   bool use_redundancy = true;
 
-  /// Similarity-score join-column pruning (§IV-C): keep only top-scoring
-  /// join columns between a table pair.
-  bool prune_join_columns = true;
-
   /// Beam pruning on dense (discovered) graphs: each partial path only
   /// expands to its `beam_width` highest-similarity neighbours (0 = all).
   /// The paper's future work anticipates "more aggressive pruning" for

@@ -50,12 +50,10 @@ constexpr size_t kNumBands = 32;
 constexpr size_t kRowsPerBand = 2;
 constexpr size_t kNumHashes = kNumBands * kRowsPerBand;
 
-// A column in the index: table position, column position, and its true
-// distinct count.
+// A column in the index: table position and column position.
 struct ColumnRef {
   uint32_t table = 0;
   uint32_t column = 0;
-  uint64_t num_distinct = 0;
 };
 
 // Mixes a band's row minima into one bucket fingerprint.
@@ -74,7 +72,6 @@ ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
                                          DataType type,
                                          const LshOptions& options) {
   ColumnLshProfile profile;
-  profile.num_distinct = sketch.num_distinct;
   const MinHashSignature sig = ComputeMinHashSignature(sketch, kNumHashes);
   // Small-column rescue: every sketch hash gets its own bucket, so two
   // rescued columns whose sketches intersect at all are guaranteed a
@@ -174,8 +171,7 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
       // An indexed column carries a full-width signature.
       index.signature_bytes_ +=
           sizeof(MinHashSignature) + kNumHashes * sizeof(uint64_t);
-      ColumnRef ref{static_cast<uint32_t>(t), static_cast<uint32_t>(c),
-                    profile.num_distinct};
+      ColumnRef ref{static_cast<uint32_t>(t), static_cast<uint32_t>(c)};
       for (uint64_t key : profile.bucket_keys) buckets[key].push_back(ref);
       index.bucket_entries_ += profile.bucket_keys.size();
     }

@@ -104,7 +104,6 @@ struct ColumnLshProfile {
   /// columns (int64/string, g = 1) and doubles (g = 0) never share a key,
   /// mirroring the matcher's join-plausibility filter.
   std::vector<uint64_t> bucket_keys;
-  uint64_t num_distinct = 0;
   /// False when the column enters no bucket (empty sketch).
   bool indexed = false;
 };

@@ -17,12 +17,6 @@ namespace {
 
 // Golden values from tools/hash_reference.py, an independent restatement in
 // Python's standard library (CI regenerates and diffs the file).
-struct GoldenHash {
-  const char* key;
-  size_t size;
-  uint64_t fnv1a64;
-  uint64_t sketch;
-};
 #include "golden/hashes.inc"
 
 TEST(RngTest, DeterministicGivenSeed) {

@@ -1,16 +1,15 @@
-// Differential tests for the SIMD kernel layer: every dispatched kernel is
-// held against its scalar twin — bit-exact for the integer kernels
-// (counting, min/max, hashing, gather), bounded-ULP for the floating-point
-// log / entropy reduction. These tests are meaningful on every backend
-// (on the scalar backend both sides are the same code; on AVX2/SSE2/NEON
-// they pin the vector lanes to the reference semantics).
+// Tests for the SIMD kernel layer. Every AVX2 kernel is held to its
+// portable twin bit for bit, the entropy included, and the entropy of fixed
+// count vectors is pinned to tools/hash_reference.py's restatement, so the
+// same bits hold on every build. On a portable build each kernel is its
+// twin, and the golden bits and std::log accuracy checks still apply.
 
 #include "util/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +18,52 @@
 
 namespace autofeat::simd {
 namespace {
+
+#include "golden/hashes.inc"
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Plug-in entropy with std::log: an independent oracle for the accuracy of
+// the LogPositive-based reduction.
+double SumPLogPStdLog(const uint32_t* counts, size_t k, double n) {
+  double h = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    if (counts[i] == 0) continue;
+    double p = static_cast<double>(counts[i]) / n;
+    h -= p * std::log(p);
+  }
+  return h;
+}
+
+// Count vectors with ~1/3 zero cells, to exercise the zero-lane blend.
+std::vector<std::vector<uint32_t>> RandomCountVectors() {
+  Rng rng(13);
+  std::vector<std::vector<uint32_t>> out;
+  for (size_t k : {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::vector<uint32_t> counts(k);
+      uint64_t n = 0;
+      for (size_t i = 0; i < k; ++i) {
+        counts[i] = rng.Bernoulli(0.33)
+                        ? 0
+                        : static_cast<uint32_t>(rng.UniformInt(1, 10000));
+        n += counts[i];
+      }
+      if (n > 0) out.push_back(std::move(counts));
+    }
+  }
+  return out;
+}
+
+double SumOf(const std::vector<uint32_t>& counts) {
+  uint64_t n = 0;
+  for (uint32_t c : counts) n += c;
+  return static_cast<double>(n);
+}
 
 TEST(SimdLogTest, ExactAtOne) {
   double v = LogPositive(1.0);
@@ -48,19 +93,6 @@ TEST(SimdLogTest, MatchesStdLogWithinUlps) {
   }
 }
 
-TEST(SimdLogTest, BatchMatchesScalarLanes) {
-  Rng rng(11);
-  for (size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 100}) {
-    std::vector<double> x(n), out(n);
-    for (size_t i = 0; i < n; ++i) x[i] = rng.Uniform(1e-9, 1e9);
-    LogBatch(x.data(), out.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      double want = std::log(x[i]);
-      EXPECT_NEAR(want, out[i], std::max(std::abs(want) * 4e-16, 4e-16));
-    }
-  }
-}
-
 TEST(SimdSumPLogPTest, SingleFullCountIsExactlyZero) {
   // One category holding every row: p = n/n = 1.0 exactly, entropy +0.0.
   std::vector<uint32_t> counts = {5};
@@ -72,45 +104,43 @@ TEST(SimdSumPLogPTest, SingleFullCountIsExactlyZero) {
   EXPECT_EQ(0.0, SumPLogP(padded.data(), padded.size(), 7.0));
 }
 
-TEST(SimdSumPLogPTest, MatchesScalarOracle) {
-  Rng rng(13);
-  for (size_t k : {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000}) {
-    for (int rep = 0; rep < 20; ++rep) {
-      std::vector<uint32_t> counts(k);
-      uint64_t n = 0;
-      for (size_t i = 0; i < k; ++i) {
-        // ~1/3 zero cells, to exercise the zero-lane blend.
-        counts[i] = rng.Bernoulli(0.33)
-                        ? 0
-                        : static_cast<uint32_t>(rng.UniformInt(1, 10000));
-        n += counts[i];
-      }
-      if (n == 0) continue;
-      double dn = static_cast<double>(n);
-      double got = SumPLogP(counts.data(), k, dn);
-      double want = SumPLogPScalar(counts.data(), k, dn);
-      EXPECT_NEAR(want, got, std::max(want, 1.0) * 1e-13);
-    }
+TEST(SimdSumPLogPTest, MatchesStdLogOracle) {
+  for (const std::vector<uint32_t>& counts : RandomCountVectors()) {
+    double n = SumOf(counts);
+    double got = SumPLogP(counts.data(), counts.size(), n);
+    double want = SumPLogPStdLog(counts.data(), counts.size(), n);
+    EXPECT_NEAR(want, got, std::max(want, 1.0) * 1e-13);
   }
 }
 
-TEST(SimdCountTest, CountPresentBitExact) {
-  Rng rng(17);
-  for (size_t n : {0, 1, 7, 8, 9, 64, 1000}) {
-    std::vector<int> x(n);
-    int min_x = 3;
-    int range = 40;
-    for (size_t i = 0; i < n; ++i) {
-      x[i] = rng.Bernoulli(0.2) ? -1
-                                : static_cast<int>(rng.UniformInt(
-                                      min_x, min_x + range - 1));
-    }
-    size_t trash = static_cast<size_t>(range);
-    std::vector<uint32_t> got(range + 1, 0), want(range + 1, 0);
-    CountPresent(x.data(), n, min_x, trash, got.data());
-    CountPresentScalar(x.data(), n, min_x, trash, want.data());
-    EXPECT_EQ(want, got) << "n=" << n;
+TEST(SimdSumPLogPTest, BitExactWithPortableTwin) {
+  for (const std::vector<uint32_t>& counts : RandomCountVectors()) {
+    double n = SumOf(counts);
+    EXPECT_EQ(Bits(SumPLogPScalar(counts.data(), counts.size(), n)),
+              Bits(SumPLogP(counts.data(), counts.size(), n)))
+        << "k=" << counts.size();
   }
+}
+
+TEST(SimdSumPLogPTest, MatchesGoldenBits) {
+  for (const GoldenEntropy& g : kGoldenEntropies) {
+    double n = SumOf(std::vector<uint32_t>(g.counts, g.counts + g.k));
+    EXPECT_EQ(g.bits, Bits(SumPLogP(g.counts, g.k, n))) << "k=" << g.k;
+    EXPECT_EQ(g.bits, Bits(SumPLogPScalar(g.counts, g.k, n))) << "k=" << g.k;
+  }
+  std::vector<uint32_t> counts;
+  uint64_t state = kGoldenLcgSeed;
+  for (size_t i = 0; i < kGoldenLcgCells; ++i) {
+    state = state * kGoldenLcgMultiplier + kGoldenLcgIncrement;
+    uint64_t v = state >> 33;
+    counts.push_back(v % 3 == 0 ? 0
+                                : static_cast<uint32_t>(1 + (v / 3) % 10000));
+  }
+  double n = SumOf(counts);
+  EXPECT_EQ(kGoldenLcgEntropyBits,
+            Bits(SumPLogP(counts.data(), counts.size(), n)));
+  EXPECT_EQ(kGoldenLcgEntropyBits,
+            Bits(SumPLogPScalar(counts.data(), counts.size(), n)));
 }
 
 TEST(SimdCountTest, CountJointPresentBitExact) {
@@ -136,26 +166,6 @@ TEST(SimdCountTest, CountJointPresentBitExact) {
   }
 }
 
-TEST(SimdMinMaxTest, MinMaxPresentBitExact) {
-  Rng rng(23);
-  for (size_t n : {0, 1, 7, 8, 9, 64, 1000}) {
-    for (double missing_rate : {0.0, 0.3, 1.0}) {
-      std::vector<int> x(n);
-      for (size_t i = 0; i < n; ++i) {
-        x[i] = rng.Bernoulli(missing_rate)
-                   ? -1
-                   : static_cast<int>(rng.UniformInt(-100, 100));
-      }
-      int got[2] = {INT32_MAX, INT32_MIN};
-      int want[2] = {INT32_MAX, INT32_MIN};
-      MinMaxPresent(x.data(), n, got);
-      MinMaxPresentScalar(x.data(), n, want);
-      EXPECT_EQ(want[0], got[0]);
-      EXPECT_EQ(want[1], got[1]);
-    }
-  }
-}
-
 TEST(SimdMinMaxTest, PairMinMaxPresentBitExact) {
   Rng rng(29);
   for (size_t n : {0, 1, 7, 8, 9, 64, 1000}) {
@@ -174,23 +184,6 @@ TEST(SimdMinMaxTest, PairMinMaxPresentBitExact) {
   }
 }
 
-TEST(SimdCountTest, CountNonZeroAndEqualBitExact) {
-  Rng rng(31);
-  for (size_t n : {0, 1, 7, 8, 9, 64, 1000}) {
-    std::vector<uint32_t> v(n);
-    for (size_t i = 0; i < n; ++i) {
-      v[i] = rng.Bernoulli(0.4)
-                 ? 0
-                 : static_cast<uint32_t>(rng.UniformInt(0, 5));
-    }
-    EXPECT_EQ(CountNonZero32Scalar(v.data(), n), CountNonZero32(v.data(), n));
-    for (uint32_t target : {0u, 3u, 0xFFFFFFFFu}) {
-      EXPECT_EQ(CountEqualU32Scalar(v.data(), n, target),
-                CountEqualU32(v.data(), n, target));
-    }
-  }
-}
-
 TEST(SimdMinHashTest, UpdateBitExact) {
   Rng rng(37);
   for (size_t num_hashes : {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65}) {
@@ -202,29 +195,6 @@ TEST(SimdMinHashTest, UpdateBitExact) {
       MinHashUpdateScalar(base, want.data(), num_hashes);
     }
     EXPECT_EQ(want, got) << "num_hashes=" << num_hashes;
-  }
-}
-
-TEST(SimdGatherTest, GatherDoublesByRowBitExact) {
-  Rng rng(41);
-  const uint32_t kNoMatch = std::numeric_limits<uint32_t>::max();
-  std::vector<double> src(512);
-  for (double& v : src) v = rng.Normal();
-  const double missing = std::numeric_limits<double>::quiet_NaN();
-  for (size_t n : {0, 1, 3, 4, 5, 8, 9, 100, 1000}) {
-    std::vector<uint32_t> rows(n);
-    for (size_t i = 0; i < n; ++i) {
-      rows[i] = rng.Bernoulli(0.25)
-                    ? kNoMatch
-                    : static_cast<uint32_t>(rng.UniformIndex(src.size()));
-    }
-    std::vector<double> got(n), want(n);
-    GatherDoublesByRow(src.data(), rows.data(), n, kNoMatch, missing,
-                       got.data());
-    GatherDoublesByRowScalar(src.data(), rows.data(), n, kNoMatch, missing,
-                             want.data());
-    // Bitwise compare (NaN-safe).
-    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
   }
 }
 
@@ -268,11 +238,6 @@ TEST(SimdHistogramTest, AccumulateGhInt64SumsRowsAndSubtracts) {
     for (size_t i = 0; i < parent.size(); ++i) parent[i] -= smaller[i];
     EXPECT_EQ(larger, parent) << "n=" << n;
   }
-}
-
-TEST(SimdBackendTest, BackendNameIsKnown) {
-  std::string b = kBackendName;
-  EXPECT_TRUE(b == "avx2" || b == "sse2" || b == "neon" || b == "scalar") << b;
 }
 
 }  // namespace

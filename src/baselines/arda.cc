@@ -99,8 +99,10 @@ Result<AugmenterResult> Arda::Augment(const DataLake& lake,
     AF_RETURN_NOT_OK(forest.Fit(injected));
     std::vector<double> importances = forest.FeatureImportances();
 
-    std::vector<double> random_importances(
-        importances.begin() + static_cast<ptrdiff_t>(p), importances.end());
+    std::vector<double> random_importances(importances.size() - p);
+    for (size_t j = 0; j < random_importances.size(); ++j) {
+      random_importances[j] = importances[p + j];
+    }
     double bar = Median(random_importances);
     for (size_t f = 0; f < p; ++f) {
       importance_sum[f] += importances[f];

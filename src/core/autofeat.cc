@@ -1,9 +1,9 @@
 #include "core/autofeat.h"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <memory>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -48,10 +48,26 @@ class JoinMemo {
     ScoredColumns columns;
   };
 
+  // Eight interleaved DeriveSeed folds over the mapping's 64-bit words,
+  // then folded together: specified, and as fast as a byte hash because the
+  // lanes do not wait on each other (a byte-serial Fnv1a64 took 8x longer).
   static uint64_t Hash(size_t node, const std::vector<uint32_t>& rows) {
-    std::string_view bytes(reinterpret_cast<const char*>(rows.data()),
-                           rows.size() * sizeof(uint32_t));
-    return DeriveSeed(std::hash<std::string_view>{}(bytes), node);
+    constexpr size_t kLanes = 8;
+    uint64_t lanes[kLanes];
+    for (size_t k = 0; k < kLanes; ++k) lanes[k] = k;
+    const size_t n = rows.size();
+    size_t i = 0;
+    for (; i + 2 * kLanes <= n; i += 2 * kLanes) {
+      for (size_t k = 0; k < kLanes; ++k) {
+        uint64_t word;
+        std::memcpy(&word, rows.data() + i + 2 * k, sizeof(word));
+        lanes[k] = DeriveSeed(lanes[k], word);
+      }
+    }
+    uint64_t hash = DeriveSeed(node, n);
+    for (uint64_t lane : lanes) hash = DeriveSeed(hash, lane);
+    for (; i < n; ++i) hash = DeriveSeed(hash, rows[i]);
+    return hash;
   }
 
   /// The entry for (node, rows), or null. Safe to call concurrently while

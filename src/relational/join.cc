@@ -52,22 +52,30 @@ Status AppendGatheredRightColumns(Table* out, const Table& right,
 
 }  // namespace
 
+std::vector<uint32_t> PickKeyRepresentatives(const Column& key, Rng* rng,
+                                             KeyDictionary* dict) {
+  // Dictionary ids are assigned in first-seen row order, so iterating them
+  // in id order reproduces the deterministic group order (and the per-group
+  // RNG stream) of the original string-keyed grouping.
+  std::vector<uint32_t> row_ids;
+  *dict = KeyDictionary::Build(key, &row_ids);
+  const KeyGroups groups(row_ids, dict->num_keys());
+  std::vector<uint32_t> picks(dict->num_keys());
+  for (uint32_t id = 0; id < dict->num_keys(); ++id) {
+    const uint32_t* rows = groups.rows_begin(id);
+    size_t count = groups.rows_count(id);
+    picks[id] = count == 1 ? rows[0] : rows[rng->UniformIndex(count)];
+  }
+  return picks;
+}
+
 Result<Table> NormalizeJoinCardinality(const Table& right,
                                        const std::string& key_column,
                                        Rng* rng) {
   AF_ASSIGN_OR_RETURN(const Column* key, right.GetColumn(key_column));
-  // Dictionary ids are assigned in first-seen row order, so iterating them
-  // in id order reproduces the deterministic group order (and the per-group
-  // RNG stream) of the original string-keyed grouping.
-  KeyDictionary dict = KeyDictionary::Build(*key);
-  std::vector<size_t> keep;
-  keep.reserve(dict.num_keys());
-  for (uint32_t id = 0; id < dict.num_keys(); ++id) {
-    const uint32_t* rows = dict.rows_begin(id);
-    size_t count = dict.rows_count(id);
-    keep.push_back(count == 1 ? rows[0] : rows[rng->UniformIndex(count)]);
-  }
-  return right.TakeRows(keep);
+  KeyDictionary dict;
+  std::vector<uint32_t> picks = PickKeyRepresentatives(*key, rng, &dict);
+  return right.TakeRows(std::vector<size_t>(picks.begin(), picks.end()));
 }
 
 Result<JoinResult> Join(const Table& left, const std::string& left_key,
@@ -86,7 +94,10 @@ Result<JoinResult> Join(const Table& left, const std::string& left_key,
 
   // Intern the right keys once (one row per key when normalised, CSR lists
   // otherwise); probing is typed and allocation-free for numeric keys.
-  KeyDictionary dict = KeyDictionary::Build(*rkey);
+  std::vector<uint32_t> row_ids;
+  KeyDictionary dict = KeyDictionary::Build(*rkey, &row_ids);
+  const KeyGroups groups(row_ids, dict.num_keys());
+  const std::vector<uint32_t> left_ids = dict.Lookup(*lkey);
 
   JoinResult result;
   result.stats.right_distinct_keys = dict.num_keys();
@@ -99,11 +110,11 @@ Result<JoinResult> Join(const Table& left, const std::string& left_key,
   left_rows.reserve(left.num_rows());
   right_rows.reserve(left.num_rows());
   for (size_t i = 0; i < left.num_rows(); ++i) {
-    uint32_t id = dict.Lookup(*lkey, i);
+    uint32_t id = left_ids[i];
     if (id != KeyDictionary::kNoKey) {
       ++result.stats.matched_rows;
-      const uint32_t* rows = dict.rows_begin(id);
-      size_t count = dict.rows_count(id);
+      const uint32_t* rows = groups.rows_begin(id);
+      size_t count = groups.rows_count(id);
       for (size_t r = 0; r < count; ++r) {
         left_rows.push_back(i);
         right_rows.push_back(rows[r]);

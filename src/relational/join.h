@@ -9,6 +9,7 @@
 #define AUTOFEAT_RELATIONAL_JOIN_H_
 
 #include <string>
+#include <vector>
 
 #include "table/table.h"
 #include "util/rng.h"
@@ -36,6 +37,15 @@ struct JoinResult {
   Table table;
   JoinStats stats;
 };
+
+class KeyDictionary;
+
+/// The §IV-B per-key pick: one row per distinct non-null key of `key`, in
+/// first-seen key order — the key's only row, or for a duplicated key a
+/// row drawn by rng->UniformIndex (one draw per duplicated key, in key
+/// order). Interns `key` into `*dict` on the way.
+std::vector<uint32_t> PickKeyRepresentatives(const Column& key, Rng* rng,
+                                             KeyDictionary* dict);
 
 /// Normalises the right side of a join to at most one row per key value:
 /// groups by `key_column` and picks a uniformly random row per group.

@@ -12,31 +12,22 @@ namespace autofeat {
 
 JoinKeyIndex BuildJoinKeyIndex(const Column& key, uint64_t rep_seed) {
   JoinKeyIndex index;
-  index.dict = KeyDictionary::Build(key);
-  uint32_t num_keys = index.dict.num_keys();
-  index.representative.resize(num_keys);
   Rng rng(rep_seed);
-  for (uint32_t id = 0; id < num_keys; ++id) {
-    const uint32_t* rows = index.dict.rows_begin(id);
-    size_t count = index.dict.rows_count(id);
-    index.representative[id] =
-        count == 1 ? rows[0] : rows[rng.UniformIndex(count)];
-  }
+  index.representative = PickKeyRepresentatives(key, &rng, &index.dict);
   return index;
 }
 
+static_assert(kNoMatchRow == KeyDictionary::kNoKey,
+              "MapLeftJoin turns probe ids into right rows in place");
+
 JoinRowMap MapLeftJoin(const Column& left_key, const JoinKeyIndex& index) {
   JoinRowMap map;
-  size_t n = left_key.size();
-  map.right_rows.resize(n);
-  map.stats.total_rows = n;
+  map.right_rows = index.dict.Lookup(left_key);
+  map.stats.total_rows = map.right_rows.size();
   map.stats.right_distinct_keys = index.num_distinct_keys();
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t id = index.dict.Lookup(left_key, i);
-    if (id == KeyDictionary::kNoKey) {
-      map.right_rows[i] = kNoMatchRow;
-    } else {
-      map.right_rows[i] = index.representative[id];
+  for (uint32_t& row : map.right_rows) {
+    if (row != KeyDictionary::kNoKey) {
+      row = index.representative[row];
       ++map.stats.matched_rows;
     }
   }

@@ -33,7 +33,8 @@ inline constexpr uint32_t kNoMatchRow = static_cast<uint32_t>(-1);
 /// \brief Interned hash index over one (right-side) key column: the key
 /// dictionary plus one deterministic representative row per key (§IV-B
 /// cardinality normalisation, with the pick derived from `rep_seed` instead
-/// of a caller-supplied generator).
+/// of a caller-supplied generator). It keeps only what a probe reads; the
+/// per-row ids and key groups of the build are dropped.
 struct JoinKeyIndex {
   KeyDictionary dict;
   /// One right row per key id (the normalised join partner).
@@ -41,16 +42,16 @@ struct JoinKeyIndex {
 
   size_t num_distinct_keys() const { return representative.size(); }
 
-  /// Approximate heap footprint in bytes (dictionary + representatives);
-  /// size-based and deterministic like KeyDictionary::ApproxBytes.
+  /// Heap footprint in bytes (dictionary + representatives); exact and
+  /// deterministic like KeyDictionary::ApproxBytes.
   size_t ApproxBytes() const {
-    return dict.ApproxBytes() + representative.size() * sizeof(uint32_t);
+    return dict.ApproxBytes() + sizeof(representative) +
+           representative.size() * sizeof(uint32_t);
   }
 };
 
-/// Builds the index of `key`. Representatives are drawn from
-/// Rng(rep_seed), one pick per duplicated key in first-seen key order —
-/// the same stream discipline NormalizeJoinCardinality uses.
+/// Builds the index of `key`. Representatives are PickKeyRepresentatives
+/// with Rng(rep_seed) — the pick NormalizeJoinCardinality makes.
 JoinKeyIndex BuildJoinKeyIndex(const Column& key, uint64_t rep_seed);
 
 /// \brief A composed left-join row mapping: output row i of the join reads

@@ -132,8 +132,8 @@ void WriteColumnData(std::string* payload, const Column& col) {
       // in first-seen row order, and within one string column the
       // string -> id mapping is injective, so the first row carrying each
       // id recovers the dictionary value exactly.
-      KeyDictionary dict = KeyDictionary::Build(col);
-      const std::vector<uint32_t>& ids = dict.row_ids();
+      std::vector<uint32_t> ids;
+      KeyDictionary dict = KeyDictionary::Build(col, &ids);
       std::vector<std::string_view> values(dict.num_keys());
       std::vector<bool> seen(dict.num_keys(), false);
       for (size_t i = 0; i < n; ++i) {

@@ -14,6 +14,7 @@
 #include "relational/join.h"
 #include "support/join_differential.h"
 #include "support/lake_fixtures.h"
+#include "support/node_map_dictionary.h"
 
 namespace autofeat {
 namespace {
@@ -149,6 +150,21 @@ TEST(JoinKeyIndexTest, DuplicateKeysPickOneRowOfTheGroup) {
   EXPECT_TRUE(v->GetDouble(0) == 21 || v->GetDouble(0) == 22);
   EXPECT_TRUE(v->GetDouble(1) == 31 || v->GetDouble(1) == 32);
   EXPECT_TRUE(v->IsNull(2));
+}
+
+// The flat dictionary keeps the node-map dictionary's first-seen ids, so the
+// index draws the same representative rows from the same Rng stream.
+TEST(JoinKeyIndexTest, RepresentativesMatchNodeMapOracle) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (DataType type :
+         {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+      Column key = testsupport::SeededKeyColumn(type, 4000, 300, seed);
+      testsupport::NodeMapDictionary oracle(key);
+      JoinKeyIndex index = BuildJoinKeyIndex(key, seed * 31);
+      EXPECT_EQ(index.representative, oracle.Representatives(seed * 31))
+          << "seed " << seed << " type " << static_cast<int>(type);
+    }
+  }
 }
 
 TEST(JoinKeyIndexTest, SameSeedSameRepresentatives) {

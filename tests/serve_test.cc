@@ -467,7 +467,9 @@ TEST(LakeServiceStressTest, ConcurrentReadersSeeOnlyPublishedStates) {
           cold_service->Discover(fz.base_table, fz.label_column);
       ASSERT_TRUE(out.ok()) << out.status().message();
       expected.push_back(qa::DiscoveryFingerprint(out->discovery));
-      if (e < kMutations) ASSERT_TRUE(cold.AddTable(to_add[e]).ok());
+      if (e < kMutations) {
+        ASSERT_TRUE(cold.AddTable(to_add[e]).ok());
+      }
     }
   }
 

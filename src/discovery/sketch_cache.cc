@@ -13,8 +13,10 @@ ColumnSketch BuildColumnSketch(const Column& col, size_t max_sample) {
   ColumnSketch sketch;
   std::vector<uint64_t>& hashes = sketch.hashes;
   hashes.reserve(col.size());
+  KeyBuffer buf;
   for (size_t i = 0; i < col.size(); ++i) {
-    if (!col.IsNull(i)) hashes.push_back(SketchValueHash(col.KeyAt(i)));
+    if (col.IsNull(i)) continue;
+    hashes.push_back(SketchValueHash(col.WriteKey(i, &buf)));
   }
   std::sort(hashes.begin(), hashes.end());
   hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());

@@ -9,7 +9,8 @@
 // profiles.
 //
 // A profile is the sorted bottom-k of one specified value hash over the
-// column's distinct keys. Pair scoring and LSH (lsh_index.h) both read it,
+// column's distinct key spellings (Column::WriteKey), so int64 7 and
+// double 7.0 share a hash. Pair scoring and LSH (lsh_index.h) both read it,
 // so no value is hashed twice. Bottom-k keeps the *same* values on both
 // sides of any comparison, so containment/Jaccard estimates are stable
 // under sampling.
@@ -41,12 +42,13 @@ namespace autofeat {
 class DataLake;
 class ThreadPool;
 
-/// The value hash every profile is built from: FNV-1a of the canonical key
-/// (Column::KeyAt) through the splitmix64 finaliser. FNV-1a's high bits
-/// depend on a key's last bytes almost linearly, so ranking short keys
-/// ("101", "102", ...) by raw FNV-1a keeps them by spelling, not at random;
-/// the finaliser avalanches every input bit, which makes the bottom-k a
-/// uniform sample of the distinct keys.
+/// The value hash every profile is built from: FNV-1a of the cell's key
+/// spelling (the text Column::KeyAt returns, written on the stack) through
+/// the splitmix64 finaliser. FNV-1a's high bits depend on a key's last bytes
+/// almost linearly, so ranking short keys ("101", "102", ...) by raw FNV-1a
+/// keeps them by spelling, not at random; the finaliser avalanches every
+/// input bit, which makes the bottom-k a uniform sample of the distinct
+/// keys.
 inline uint64_t SketchValueHash(std::string_view key) {
   return DeriveSeed(Fnv1a64(key), 0);
 }

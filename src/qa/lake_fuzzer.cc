@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdlib>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -23,29 +25,42 @@ constexpr uint64_t kMutationStream = 500000;
 enum class KeyStyle { kUnique, kDuplicated, kConstant, kSkewed };
 
 // The awkward-but-legal key alphabet: empty string, whitespace, unicode,
-// CSV metacharacters, and numeric strings in canonical and non-canonical
-// spellings (KeyAt canonicalises int64 7 and double 7.0 but not "07").
-const char* const kStringKeyPool[] = {"",     "k",      "7",       "07",
+// CSV metacharacters (a newline among them), and numeric strings in
+// canonical and non-canonical spellings (KeyAt canonicalises int64 7 and
+// double 7.0 but not "07").
+const char* const kStringKeyPool[] = {"",      "k",      "7",       "07",
                                       "key 0", "日本語", "naïve-α", "x,y",
-                                      "\"q\"", "Z"};
+                                      "\"q\"", "Z",      "line\nbreak"};
 constexpr size_t kStringKeyPoolSize =
     sizeof(kStringKeyPool) / sizeof(kStringKeyPool[0]);
 
+// Every fourth key index draws an integral key in [9e15, 1e17), where a
+// double still spells as its integer: the same key as an int64, a double
+// (a multiple of 16 is exact there) and a canonical string.
+int64_t LargeKey(size_t idx) {
+  return 9'000'000'000'000'000 +
+         static_cast<int64_t>(idx % 10) * 10'000'000'000'000'000 +
+         16 * static_cast<int64_t>(idx);
+}
+
 void AppendKeyValue(Column* column, DataType type, size_t idx) {
+  const bool large = idx % 4 == 3;
   switch (type) {
     case DataType::kInt64:
-      column->AppendInt64(static_cast<int64_t>(idx));
+      column->AppendInt64(large ? LargeKey(idx) : static_cast<int64_t>(idx));
       return;
     case DataType::kDouble:
       // Alternates integral and fractional values so numeric key
       // canonicalisation (int64 3 == double 3.0) gets exercised.
-      column->AppendDouble(static_cast<double>(idx) * 1.5);
+      column->AppendDouble(large ? static_cast<double>(LargeKey(idx))
+                                 : static_cast<double>(idx) * 1.5);
       return;
     default:
       if (idx < kStringKeyPoolSize) {
         column->AppendString(kStringKeyPool[idx]);
       } else {
-        column->AppendString("id_" + std::to_string(idx));
+        column->AppendString(large ? std::to_string(LargeKey(idx))
+                                   : "id_" + std::to_string(idx));
       }
       return;
   }
@@ -73,6 +88,25 @@ size_t SkewedIndex(Rng* rng, size_t n) {
   if (n <= 1) return 0;
   double u = rng->Uniform();
   return static_cast<size_t>(u * u * u * static_cast<double>(n)) % n;
+}
+
+// Appends row `row` of `parent` to `key` in key's own type: the cell that
+// spells the parent's key, so the two still join, or a disjoint key
+// (`idx`) when that type has none (no int64 spells "k" or "2.5").
+void AppendRespelled(Column* key, const Column& parent, size_t row,
+                     size_t idx) {
+  const std::string spelling = parent.KeyAt(row);
+  Column cell = Column::Strings({spelling});
+  if (key->type() == DataType::kInt64) {
+    cell = Column::Int64s({std::strtoll(spelling.c_str(), nullptr, 10)});
+  } else if (key->type() == DataType::kDouble) {
+    cell = Column::Doubles({std::strtod(spelling.c_str(), nullptr)});
+  }
+  if (cell.KeyAt(0) == spelling) {
+    key->AppendFrom(cell, 0);
+  } else {
+    AppendDisjointKeyValue(key, key->type(), idx);
+  }
 }
 
 // Distinct non-null key rows of `key` in first-occurrence order.
@@ -315,8 +349,13 @@ FuzzedLake LakeFuzzer::Generate(uint64_t seed) const {
     if (parent_distinct.empty()) overlap = 0.0;
     KeyStyle style = static_cast<KeyStyle>(rng.UniformIndex(4));
     size_t overlap_rows = static_cast<size_t>(overlap * static_cast<double>(rows));
+    // Usually the parent's key type; now and then another type spelling the
+    // same keys, so joins meet int64, double and string keys.
+    const DataType child_type = rng.Bernoulli(0.25)
+                                    ? static_cast<DataType>(rng.UniformIndex(3))
+                                    : parent_key.type();
 
-    Column key(parent_key.type());
+    Column key(child_type);
     for (size_t i = 0; i < rows; ++i) {
       if (rng.Bernoulli(0.05)) {
         key.AppendNull();
@@ -330,9 +369,10 @@ FuzzedLake LakeFuzzer::Generate(uint64_t seed) const {
         case KeyStyle::kSkewed: idx = SkewedIndex(&rng, std::max<size_t>(rows, 1)); break;
       }
       if (i < overlap_rows) {
-        key.AppendFrom(parent_key, parent_distinct[idx % parent_distinct.size()]);
+        AppendRespelled(&key, parent_key,
+                        parent_distinct[idx % parent_distinct.size()], idx);
       } else {
-        AppendDisjointKeyValue(&key, parent_key.type(), idx);
+        AppendDisjointKeyValue(&key, child_type, idx);
       }
     }
 

@@ -11,11 +11,12 @@ namespace autofeat {
 
 namespace {
 
-// A double's counting key, equal for two doubles exactly when their
-// Column::KeyAt strings are equal. KeyAt prints integral doubles below 9e15
-// as their int64, which folds -0.0 into 0.0, and every other double with
-// %.17g, which round-trips all values except NaN: it prints "nan" or "-nan"
-// by the sign bit alone.
+// A double's counting key, equal for two doubles exactly when their key
+// spellings (Column::WriteKey) are equal. Within one column that is a
+// bit pattern: the spelling writes integral doubles below 1e17 as their
+// int64, which folds -0.0 into 0.0, and every other double as 17
+// significant digits, which round-trip all values except NaN: those spell
+// "nan" or "-nan" by the sign bit alone.
 uint64_t DoubleKey(double v) {
   if (std::isnan(v)) {
     v = std::copysign(std::numeric_limits<double>::quiet_NaN(), v);

@@ -1,8 +1,9 @@
 #include "table/column.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <unordered_map>
 
 namespace autofeat {
@@ -146,37 +147,58 @@ std::vector<double> Column::ToNumeric() const {
   return out;
 }
 
+namespace {
+
+std::string_view WriteInt64(int64_t v, KeyBuffer* buf) {
+  char* end = std::to_chars(buf->chars, std::end(buf->chars), v).ptr;
+  return std::string_view(buf->chars, static_cast<size_t>(end - buf->chars));
+}
+
+std::string_view WriteDouble(double v, KeyBuffer* buf) {
+  char* end = std::to_chars(buf->chars, std::end(buf->chars), v,
+                            std::chars_format::general, 17)
+                  .ptr;
+  return std::string_view(buf->chars, static_cast<size_t>(end - buf->chars));
+}
+
+}  // namespace
+
 std::string Column::ValueToString(size_t i) const {
   if (IsNull(i)) return "";
+  KeyBuffer buf;
   switch (type_) {
-    case DataType::kDouble: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", doubles_[i]);
-      return std::string(buf);
-    }
-    case DataType::kInt64: return std::to_string(int64s_[i]);
+    case DataType::kDouble: return std::string(WriteDouble(doubles_[i], &buf));
+    case DataType::kInt64: return std::string(WriteInt64(int64s_[i], &buf));
     case DataType::kString: return strings_[i];
   }
   return "";
 }
 
+std::string_view Column::WriteKey(size_t i, KeyBuffer* buf) const {
+  switch (type_) {
+    case DataType::kInt64: return WriteInt64(int64s_[i], buf);
+    case DataType::kString: return strings_[i];
+    case DataType::kDouble: break;
+  }
+  const std::optional<int64_t> n = DoubleIntKey(doubles_[i]);
+  return n ? WriteInt64(*n, buf) : WriteDouble(doubles_[i], buf);
+}
+
 std::string Column::KeyAt(size_t i) const {
   if (IsNull(i)) return std::string("\x01<null>");
-  switch (type_) {
-    case DataType::kDouble: {
-      double v = doubles_[i];
-      // Canonicalise integral doubles so they match int64 keys.
-      if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.0e15) {
-        return std::to_string(static_cast<int64_t>(v));
-      }
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", v);
-      return std::string(buf);
-    }
-    case DataType::kInt64: return std::to_string(int64s_[i]);
-    case DataType::kString: return strings_[i];
+  KeyBuffer buf;
+  return std::string(WriteKey(i, &buf));
+}
+
+std::optional<int64_t> CanonicalIntKey(std::string_view s) {
+  int64_t value = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  KeyBuffer buf;
+  if (ec != std::errc() || end != s.data() + s.size() ||
+      WriteInt64(value, &buf) != s) {
+    return std::nullopt;  // not a number, or "07", "-0"
   }
-  return "";
+  return value;
 }
 
 bool Column::Equals(const Column& other) const {

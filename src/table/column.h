@@ -8,14 +8,34 @@
 #ifndef AUTOFEAT_TABLE_COLUMN_H_
 #define AUTOFEAT_TABLE_COLUMN_H_
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "table/data_type.h"
 #include "util/status.h"
 
 namespace autofeat {
+
+/// Room for any numeric key spelling (an int64 needs 20 chars, a double 24).
+struct KeyBuffer {
+  char chars[32];
+};
+
+/// The int64 n with s == std::to_string(n), if any: no leading zeros, no
+/// '+', no "-0". A string cell's key spelling names n when this succeeds.
+std::optional<int64_t> CanonicalIntKey(std::string_view s);
+
+/// The int64 a double's key spelling names (see Column::WriteKey): the
+/// double itself when it is finite, integral and below 1e17 in magnitude.
+inline std::optional<int64_t> DoubleIntKey(double v) {
+  // NaN fails the integral test, ±inf the bound.
+  if (std::abs(v) < 1e17 && v == std::trunc(v)) return static_cast<int64_t>(v);
+  return std::nullopt;
+}
 
 /// \brief A typed column with per-row validity (null) information.
 ///
@@ -87,12 +107,24 @@ class Column {
   /// by first occurrence. Null rows map to NaN.
   std::vector<double> ToNumeric() const;
 
-  /// Human-readable value for CSV output and debugging ("" for null).
+  /// Human-readable value for CSV output and debugging ("" for null):
+  /// doubles with 17 significant digits, which round-trip every value but
+  /// a NaN's payload.
   std::string ValueToString(size_t i) const;
 
-  /// Join-key representation of row i. Nulls get a sentinel that never
-  /// matches data. Numeric values are canonicalised so that int64 7 and
-  /// double 7.0 produce the same key.
+  /// The key spelling of non-null row i: the one rule for when two cells
+  /// hold the same value, which joins, the key dictionary, DRG profiles
+  /// and strata compare. An int64 spells as its integer, and so does a
+  /// finite integral double below 1e17 in magnitude (%.17g prints the same
+  /// digits there, so only -0.0 changes, to "0"). Any other double spells
+  /// with 17 significant digits, %.17g's text ("0.10000000000000001",
+  /// "1e+17", "-nan"), and a string as itself. So int64 7, double 7.0 and
+  /// "7" meet; "07" does not. The spelling is a view of `buf` or of the
+  /// string cell, so nothing allocates.
+  std::string_view WriteKey(size_t i, KeyBuffer* buf) const;
+
+  /// WriteKey's spelling of row i as a string; a null row gets a sentinel
+  /// that never matches data.
   std::string KeyAt(size_t i) const;
 
   /// Structural equality (type, validity and values).

@@ -1,9 +1,12 @@
 #include "table/csv.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/string_utils.h"
 
@@ -11,58 +14,88 @@ namespace autofeat {
 
 namespace {
 
-// Splits one CSV record, honouring double-quote escaping.
-std::vector<std::string> SplitRecord(const std::string& line, char delim) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+// Reads the field that starts at `*pos` and leaves `*pos` on the delimiter,
+// '\n' or end of input that ends it. A '"' opens or closes a quoted run
+// anywhere in the field; inside one, '""' is a literal quote and the
+// delimiter and '\n' are data. Outside one, a '\r' is dropped. A field
+// with neither a quote nor a '\r' is a view of `csv`; any other is
+// unescaped into `*scratch` and stays valid until its next use.
+std::string_view ReadField(std::string_view csv, char delim, size_t* pos,
+                           std::string* scratch) {
+  const size_t begin = *pos;
+  size_t i = begin;
+  while (i < csv.size() && csv[i] != '"' && csv[i] != '\r' &&
+         csv[i] != delim && csv[i] != '\n') {
+    ++i;
+  }
+  const bool ends = i == csv.size() ||
+                    (csv[i] != '"' && (csv[i] == delim || csv[i] == '\n'));
+  if (ends) {
+    *pos = i;
+    return csv.substr(begin, i - begin);
+  }
+  scratch->assign(csv.data() + begin, i - begin);
+  bool quoted = false;
+  for (; i < csv.size(); ++i) {
+    const char c = csv[i];
+    if (quoted) {
+      if (c != '"') {
+        *scratch += c;
+      } else if (i + 1 < csv.size() && csv[i + 1] == '"') {
+        *scratch += '"';
+        ++i;
       } else {
-        current += c;
+        quoted = false;
       }
     } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == delim) {
-      fields.push_back(std::move(current));
-      current.clear();
+      quoted = true;
+    } else if (c == delim || c == '\n') {
+      break;
     } else if (c != '\r') {
-      current += c;
+      *scratch += c;
     }
   }
-  fields.push_back(std::move(current));
-  return fields;
+  *pos = i;
+  return *scratch;
 }
 
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
+// Reads the record at `*pos`, calling on_field(k, text) for its k-th field,
+// and moves `*pos` past the '\n' that ends it. Returns the field count.
+template <typename OnField>
+size_t ReadRecord(std::string_view csv, char delim, size_t* pos,
+                  std::string* scratch, const OnField& on_field) {
+  size_t k = 0;
+  for (;; ++*pos) {
+    on_field(k++, ReadField(csv, delim, pos, scratch));
+    if (*pos >= csv.size() || csv[*pos] == '\n') break;
+  }
+  ++*pos;
+  return k;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
+// Parses a whole cell as a T with std::from_chars, or with `fallback`
+// (strtoll or strtod, judged by errno and full consumption) where
+// from_chars rejects it: leading space, '+', hex floats, out of range. A
+// NaN goes to strtod too, which keeps a payload ("nan(7)") from_chars
+// drops. Unlike glibc's strtod, from_chars reads subnormals without ERANGE.
+template <typename T, typename Fallback>
+bool ParseCell(std::string_view s, T* out, std::string* cstr,
+               Fallback fallback) {
   if (s.empty()) return false;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  if (ec == std::errc() && end == s.data() + s.size() && *out == *out) {
+    return true;
+  }
+  cstr->assign(s);
   errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  char* stop = nullptr;
+  const T v = fallback(cstr->c_str(), &stop);
+  if (errno != 0 || stop != cstr->c_str() + cstr->size()) return false;
   *out = v;
   return true;
 }
 
-bool IsNullToken(const std::string& s, const CsvOptions& options) {
+bool IsNullToken(std::string_view s, const CsvOptions& options) {
   if (options.treat_empty_as_null && s.empty()) return true;
   return s == "NA" || s == "N/A" || s == "null" || s == "NULL" || s == "nan" ||
          s == "NaN";
@@ -70,7 +103,7 @@ bool IsNullToken(const std::string& s, const CsvOptions& options) {
 
 std::string NeedsQuoting(const std::string& s, char delim) {
   if (s.find(delim) == std::string::npos &&
-      s.find('"') == std::string::npos && s.find('\n') == std::string::npos) {
+      s.find_first_of("\"\n\r") == std::string::npos) {
     return s;
   }
   std::string quoted = "\"";
@@ -84,79 +117,121 @@ std::string NeedsQuoting(const std::string& s, char delim) {
 
 }  // namespace
 
-Result<Table> ReadCsvString(const std::string& csv, const std::string& name,
+Result<Table> ReadCsvString(std::string_view csv, const std::string& name,
                             const CsvOptions& options) {
-  std::istringstream stream(csv);
-  std::string line;
-  if (!std::getline(stream, line)) {
-    return Status::IOError("empty CSV input for table " + name);
-  }
-  std::vector<std::string> header = SplitRecord(line, options.delimiter);
-  for (auto& h : header) h = Trim(h);
-  size_t ncols = header.size();
+  if (csv.empty()) return Status::IOError("empty CSV input for table " + name);
+  const char delim = options.delimiter;
+  std::string scratch;  // the current field, when it needed unescaping
+  std::string cstr;     // strtoll/strtod's copy of the current field
+  std::string reread;   // an earlier field, read again
+  size_t pos = 0;
+  std::vector<std::string> header;
+  ReadRecord(csv, delim, &pos, &scratch, [&](size_t, std::string_view f) {
+    header.push_back(Trim(f));
+  });
+  const size_t ncols = header.size();
+  // Rows are at most the lines left, so no column regrows.
+  const std::string_view rest = csv.substr(std::min(pos, csv.size()));
+  const size_t capacity =
+      static_cast<size_t>(std::count(rest.begin(), rest.end(), '\n')) + 1;
 
-  // Collect raw cells column-wise; infer types afterwards.
-  std::vector<std::vector<std::string>> cells(ncols);
-  size_t nrows = 0;
-  while (std::getline(stream, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> record = SplitRecord(line, options.delimiter);
-    if (record.size() != ncols) {
-      return Status::IOError("row " + std::to_string(nrows + 1) + " has " +
-                             std::to_string(record.size()) +
-                             " fields, expected " + std::to_string(ncols));
+  // Each column holds int64 values while every cell parses as one, then
+  // doubles, then strings: a cell is parsed once, and a demotion converts
+  // the values read so far. Cells are read again from their records only
+  // where a parsed value has lost its spelling: for strings, and for a
+  // zero's sign ("-0" reads as -0.0).
+  std::vector<Column> columns(ncols, Column(DataType::kInt64));
+  for (Column& col : columns) col.Reserve(capacity);
+  std::vector<size_t> row_starts;
+  row_starts.reserve(capacity);
+  auto earlier_cell = [&](size_t row, size_t c) {
+    size_t at = row_starts[row];
+    for (size_t k = 0; k < c; ++k, ++at) ReadField(csv, delim, &at, &reread);
+    return std::string(ReadField(csv, delim, &at, &reread));
+  };
+  auto demote = [&](size_t c, DataType type) {
+    const Column& old = columns[c];
+    Column out(type);
+    out.Reserve(capacity);
+    for (size_t row = 0; row < old.size(); ++row) {
+      if (old.IsNull(row)) {
+        out.AppendNull();
+      } else if (type == DataType::kString) {
+        out.AppendString(earlier_cell(row, c));
+      } else if (old.GetInt64(row) != 0) {
+        out.AppendDouble(static_cast<double>(old.GetInt64(row)));
+      } else {
+        const bool minus = earlier_cell(row, c).find('-') != std::string::npos;
+        out.AppendDouble(minus ? -0.0 : 0.0);
+      }
     }
-    for (size_t c = 0; c < ncols; ++c) cells[c].push_back(std::move(record[c]));
+    columns[c] = std::move(out);
+  };
+  auto strtoll10 = [](const char* s, char** end) {
+    return std::strtoll(s, end, 10);
+  };
+  auto append = [&](size_t c, std::string_view cell) {
+    Column& col = columns[c];
+    int64_t i = 0;
+    double d = 0;
+    if (IsNullToken(cell, options)) {
+      col.AppendNull();
+    } else if (col.type() == DataType::kInt64 &&
+               ParseCell(cell, &i, &cstr, strtoll10)) {
+      col.AppendInt64(i);
+    } else if (col.type() != DataType::kString &&
+               ParseCell(cell, &d, &cstr, std::strtod)) {
+      if (col.type() == DataType::kInt64) demote(c, DataType::kDouble);
+      col.AppendDouble(d);
+    } else {
+      if (col.type() != DataType::kString) demote(c, DataType::kString);
+      col.AppendString(std::string(cell));
+    }
+  };
+
+  size_t nrows = 0;
+  while (pos < csv.size()) {
+    if (csv[pos] == '\n') {  // an empty line
+      ++pos;
+      continue;
+    }
+    row_starts.push_back(pos);
+    const size_t nfields = ReadRecord(
+        csv, delim, &pos, &scratch,
+        [&](size_t c, std::string_view cell) {
+          if (c < ncols) append(c, cell);
+        });
+    if (nfields != ncols) {
+      return Status::IOError("row " + std::to_string(nrows + 1) + " has " +
+                             std::to_string(nfields) + " fields, expected " +
+                             std::to_string(ncols));
+    }
     ++nrows;
   }
 
   Table table(name);
   for (size_t c = 0; c < ncols; ++c) {
-    bool all_int = true;
-    bool all_double = true;
-    for (const auto& cell : cells[c]) {
-      if (IsNullToken(cell, options)) continue;
-      int64_t iv;
-      double dv;
-      if (!ParseInt64(cell, &iv)) all_int = false;
-      if (!ParseDouble(cell, &dv)) all_double = false;
-      if (!all_int && !all_double) break;
-    }
-    Column col(all_int       ? DataType::kInt64
-               : all_double  ? DataType::kDouble
-                             : DataType::kString);
-    col.Reserve(nrows);
-    for (const auto& cell : cells[c]) {
-      if (IsNullToken(cell, options)) {
-        col.AppendNull();
-      } else if (all_int) {
-        int64_t iv = 0;
-        ParseInt64(cell, &iv);
-        col.AppendInt64(iv);
-      } else if (all_double) {
-        double dv = 0;
-        ParseDouble(cell, &dv);
-        col.AppendDouble(dv);
-      } else {
-        col.AppendString(cell);
-      }
-    }
-    AF_RETURN_NOT_OK(table.AddColumn(header[c], std::move(col)));
+    AF_RETURN_NOT_OK(table.AddColumn(header[c], std::move(columns[c])));
   }
   return table;
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  // One buffer, sized from the file when it has a size (a pipe has none),
+  // then read to the end.
+  std::error_code no_size;
+  const auto size = std::filesystem::file_size(path, no_size);
+  std::string text(no_size ? 0 : size, '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<size_t>(in.gcount()));
+  for (char chunk[1 << 16]; in.read(chunk, sizeof(chunk)) || in.gcount() > 0;) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  }
   // Table name = file stem.
-  size_t slash = path.find_last_of('/');
-  std::string stem = slash == std::string::npos ? path : path.substr(slash + 1);
-  size_t dot = stem.find_last_of('.');
-  if (dot != std::string::npos) stem = stem.substr(0, dot);
-  return ReadCsvString(buffer.str(), stem, options);
+  return ReadCsvString(text, std::filesystem::path(path).stem().string(),
+                       options);
 }
 
 std::string WriteCsvString(const Table& table, const CsvOptions& options) {

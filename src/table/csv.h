@@ -7,6 +7,7 @@
 #define AUTOFEAT_TABLE_CSV_H_
 
 #include <string>
+#include <string_view>
 
 #include "table/table.h"
 #include "util/status.h"
@@ -19,10 +20,11 @@ struct CsvOptions {
   bool treat_empty_as_null = true;
 };
 
-/// Parses CSV text (first row = header) into a Table. Column types are
-/// inferred: int64 if every non-null value is an integer, double if numeric,
-/// string otherwise.
-Result<Table> ReadCsvString(const std::string& csv, const std::string& name,
+/// Parses CSV text (first row = header) into a Table in one pass. Column
+/// types are inferred: int64 if every non-null value is an integer, double
+/// if numeric, string otherwise. Quoted fields may hold the delimiter,
+/// doubled quotes, '\r' and '\n'; empty lines are skipped.
+Result<Table> ReadCsvString(std::string_view csv, const std::string& name,
                             const CsvOptions& options = {});
 
 /// Reads a CSV file; the table is named after the file stem.

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 
 #include "util/rng.h"
 
@@ -14,12 +11,6 @@ namespace {
 
 // Slots Build starts with: room for this many keys.
 constexpr size_t kInitialKeys = 4096;
-// %.17g rendering of a double key that is not integer-representable — the
-// same format KeyAt uses, so string-space keys line up across types.
-std::string_view FormatDoubleKey(double v, char (&buf)[64]) {
-  int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string_view(buf, static_cast<size_t>(n));
-}
 
 // Slot tags: the high 32 bits of a specified 64-bit hash, with bit 0
 // replaced by the key space so an int and a string never compare equal.
@@ -35,8 +26,9 @@ uint32_t StringTag(std::string_view s) {
 }
 
 // Calls on_int(row, v) or on_string(row, s) for every non-null row of `col`
-// with that row's canonical key (KeyAt's rules). The column type and null
-// mask are resolved once, outside the row loop.
+// with that row's key: on_int when its spelling (Column::WriteKey) is a
+// canonical int, which is never spelled. The column type and null mask are
+// resolved once, outside the row loop.
 template <typename OnInt, typename OnString>
 void ForEachCanonicalKey(const Column& col, const OnInt& on_int,
                          const OnString& on_string) {
@@ -56,12 +48,11 @@ void ForEachCanonicalKey(const Column& col, const OnInt& on_int,
       return;
     case DataType::kDouble:
       rows([&](size_t i) {
-        int64_t as_int;
-        if (IntegralDoubleKey(col.GetDouble(i), &as_int)) {
-          on_int(i, as_int);
+        if (auto as_int = DoubleIntKey(col.GetDouble(i))) {
+          on_int(i, *as_int);
         } else {
-          char buf[64];
-          on_string(i, FormatDoubleKey(col.GetDouble(i), buf));
+          KeyBuffer buf;
+          on_string(i, col.WriteKey(i, &buf));
         }
       });
       return;
@@ -79,28 +70,6 @@ void ForEachCanonicalKey(const Column& col, const OnInt& on_int,
 }
 
 }  // namespace
-
-std::optional<int64_t> CanonicalIntKey(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  size_t digits_at = s[0] == '-' ? 1 : 0;
-  if (digits_at >= s.size()) return std::nullopt;
-  // std::to_string never emits leading zeros or "-0".
-  if (s[digits_at] == '0' && (s.size() > digits_at + 1 || digits_at == 1)) {
-    return std::nullopt;
-  }
-  int64_t value = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
-  return value;
-}
-
-bool IntegralDoubleKey(double v, int64_t* out) {
-  if (!(std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.0e15)) {
-    return false;
-  }
-  *out = static_cast<int64_t>(v);
-  return true;
-}
 
 size_t KeyDictionary::SlotCapacity(size_t num_keys) {
   return std::max<size_t>(2, std::bit_ceil(2 * num_keys));

@@ -1,27 +1,25 @@
 // Interned join keys: dictionary-encoding of a key column into dense ids.
 //
 // Joins used to compare keys through Column::KeyAt, which allocates a
-// std::string per row per probe. A KeyDictionary canonicalises each key once
-// into a typed key space — int64 for integer-representable values (int64
-// columns, integral doubles, and strings in canonical decimal form) and
-// bytes for everything else — and assigns dense uint32_t ids in first-seen
-// row order.
+// std::string per row per probe. A KeyDictionary interns each key once into
+// a typed key space and assigns dense uint32_t ids in first-seen row order.
+// The space comes from the cell's key spelling (Column::WriteKey): a
+// spelling that is a canonical int (int64 cells, integral doubles below
+// 1e17 by DoubleIntKey, strings like "7" by CanonicalIntKey) is interned as
+// an int64, and every other spelling as its bytes. So int64 7, double 7.0
+// and string "7" intern to the same key and string "07" does not, exactly
+// as their KeyAt strings compare.
 //
 // The table is flat: one open-addressed, power-of-two array of (hash tag,
 // id) slots over keys stored in id order (an int64 per id; string bytes in
 // one arena). Building or freeing it allocates a handful of arrays, never a
 // node per key. Bucket hashes are specified (util/rng.h), so the layout —
 // and ApproxBytes — is the same under every standard library.
-//
-// The canonical key space preserves KeyAt's cross-type semantics exactly:
-// int64 7, double 7.0 and string "7" intern to the same key; string "07"
-// does not (KeyAt compares against std::to_string(7) == "7").
 
 #ifndef AUTOFEAT_TABLE_KEY_DICTIONARY_H_
 #define AUTOFEAT_TABLE_KEY_DICTIONARY_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,15 +27,6 @@
 #include "table/column.h"
 
 namespace autofeat {
-
-/// Parses `s` as a canonically formatted int64 — succeeds iff
-/// s == std::to_string(n) for some int64 n (no leading zeros, no '+', no
-/// "-0"). Strings that fail stay in the string key space, matching KeyAt.
-std::optional<int64_t> CanonicalIntKey(std::string_view s);
-
-/// True iff `v` is exactly representable as an int64 join key under KeyAt's
-/// canonicalisation rule (finite, integral, |v| < 9e15); writes the value.
-bool IntegralDoubleKey(double v, int64_t* out);
 
 /// \brief Dense-id dictionary over one key column.
 ///
@@ -58,9 +47,8 @@ class KeyDictionary {
   uint32_t num_keys() const { return static_cast<uint32_t>(keys_.size()); }
 
   /// Per row of `probe`: its key id under this dictionary, kNoKey when the
-  /// row is null or its key was never interned. The column's type is
-  /// resolved once, not per row; int64 and integral-double keys never touch
-  /// a std::string.
+  /// row is null or its key was never interned. No key allocates: numeric
+  /// spellings are written on the stack, and int64 keys are never spelled.
   std::vector<uint32_t> Lookup(const Column& probe) const;
 
   /// Slots a dictionary of `num_keys` keys holds: the smallest power of two

@@ -1,6 +1,14 @@
 #include "table/csv.h"
 
+#include <bit>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "support/line_csv_reader.h"
+#include "util/rng.h"
 
 namespace autofeat {
 namespace {
@@ -79,6 +87,32 @@ TEST(CsvTest, RoundTripPreservesData) {
   EXPECT_TRUE(back->Equals(t)) << csv;
 }
 
+TEST(CsvTest, QuotedNewlinesAndCarriageReturnsRoundTrip) {
+  Table t("roundtrip");
+  t.AddColumn("s", Column::Strings({"a\nb", "c", "cr\r", "\r\n\"x\"\n"}))
+      .Abort();
+  t.AddColumn("k", Column::Int64s({1, 2, 3, 4})).Abort();
+  std::string csv = WriteCsvString(t);
+  auto back = ReadCsvString(csv, "roundtrip");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->Equals(t)) << csv;
+}
+
+TEST(CsvTest, SubnormalCellsKeepTheColumnNumeric) {
+  // glibc's strtod flags a subnormal result with ERANGE; the column is still
+  // numeric. Values that overflow or underflow to zero stay strings.
+  auto t = ReadCsvString("x,y,z\n1e-310,1,1e400\n0.5,4.9e-324,1\n", "t");
+  ASSERT_TRUE(t.ok());
+  const Column& x = t->column(0);
+  ASSERT_EQ(x.type(), DataType::kDouble);
+  EXPECT_EQ(x.GetDouble(0), 1e-310);
+  const Column& y = t->column(1);
+  ASSERT_EQ(y.type(), DataType::kDouble);
+  EXPECT_EQ(y.GetDouble(1), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(t->column(2).type(), DataType::kString);
+  EXPECT_EQ(t->column(2).GetString(0), "1e400");
+}
+
 TEST(CsvTest, FileRoundTrip) {
   Table t("disk");
   t.AddColumn("k", Column::Int64s({10, 20})).Abort();
@@ -95,6 +129,148 @@ TEST(CsvTest, FileRoundTrip) {
 TEST(CsvTest, MissingFileIsIOError) {
   EXPECT_EQ(ReadCsvFile("/nonexistent/nope.csv").status().code(),
             StatusCode::kIOError);
+}
+
+// ---- Differential against the line-by-line reader ---------------------------
+
+// Cell spellings by the type they infer as. Quoted newlines, unterminated
+// quotes and subnormals are left out: only there do the readers differ.
+const char* const kIntCells[] = {
+    "12",  "-5",  "0",   "-0",  "+7", " 3", "007", "-00", "42",
+    "9223372036854775807", "-9223372036854775808", "\"8\""};
+const char* const kDoubleCells[] = {
+    "1.5",     ".5",        "1.",        "-2.5E-3",  "1e5",     "+2.5",
+    " 4.25",   "0x1p3",     "0X1.8p1",   "inf",      "-inf",    "INF",
+    "Infinity", "-Infinity", "NAN",      "-nan",     "nan(12)", "-0.0",
+    "99999999999999999999", "-9223372036854775809", "1e-300",
+    "2.2250738585072014e-308", "\"6.5\""};
+const char* const kStringCells[] = {
+    "abc",   "1e400", "-1e400",    "1e-400",    "12 ",     "1e",
+    "--1",   "+",     "-",         "0x",        "\"a,b\"",  "\"\"",
+    "\"he said \"\"hi\"\"\"", "a\"b\"c",  "x\r",   "  spaced ",
+    "\xc3\xa9", "a;b", "1\t2"};
+const char* const kNullCells[] = {"",     "NA",  "N/A", "null",
+                                  "NULL", "nan", "NaN"};
+
+template <size_t N>
+const char* Pick(Rng* rng, const char* const (&pool)[N]) {
+  return pool[rng->UniformIndex(N)];
+}
+
+// A seeded CSV file: per column a mix that stays int, demotes to double, or
+// demotes to string early or late; CRLF or LF records, empty lines, quoted
+// and spaced header names, now and then a duplicate name or a ragged row.
+std::string SeededCsv(uint64_t seed, char delim) {
+  Rng rng(seed);
+  const size_t ncols = 1 + rng.UniformIndex(5);
+  const char* eol = rng.Bernoulli(0.3) ? "\r\n" : "\n";
+  std::vector<size_t> mode(ncols);
+  std::string csv;
+  for (size_t c = 0; c < ncols; ++c) {
+    mode[c] = rng.UniformIndex(4);
+    if (c > 0) csv += delim;
+    if (c > 0 && rng.Bernoulli(0.05)) {
+      csv += "c0";
+    } else if (rng.Bernoulli(0.2)) {
+      csv += " \"c," + std::to_string(c) + "\" ";
+    } else {
+      csv += "c" + std::to_string(c);
+    }
+  }
+  csv += eol;
+  const size_t rows = rng.UniformIndex(60);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.Bernoulli(0.05)) csv += eol;  // an empty line
+    size_t fields = ncols;
+    if (rng.Bernoulli(0.01)) fields += rng.Bernoulli(0.5) ? 1 : -1;
+    for (size_t c = 0; c < fields; ++c) {
+      if (c > 0) csv += delim;
+      const size_t m = c < ncols ? mode[c] : 3;
+      const bool late_string = m == 2 && rng.Bernoulli(0.03);
+      if (rng.Bernoulli(0.15)) {
+        csv += Pick(&rng, kNullCells);
+      } else if (m == 3 || late_string) {
+        csv += m == 3 && rng.Bernoulli(0.6)
+                   ? (rng.Bernoulli(0.5) ? Pick(&rng, kIntCells)
+                                         : Pick(&rng, kDoubleCells))
+                   : Pick(&rng, kStringCells);
+      } else if (m == 0 || rng.Bernoulli(0.7)) {
+        csv += Pick(&rng, kIntCells);
+      } else {
+        csv += Pick(&rng, kDoubleCells);
+      }
+    }
+    if (r + 1 < rows || rng.Bernoulli(0.5)) csv += eol;
+  }
+  return csv;
+}
+
+// Table::Equals plus the bits of every double, so NaN payloads (which
+// Equals cannot compare) and the sign of zero count.
+void ExpectSameTable(const Table& want, const Table& got) {
+  ASSERT_EQ(want.ColumnNames(), got.ColumnNames());
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const Column& a = want.column(c);
+    const Column& b = got.column(c);
+    ASSERT_EQ(a.type(), b.type()) << "column " << c;
+    for (size_t r = 0; r < a.size(); ++r) {
+      ASSERT_EQ(a.IsNull(r), b.IsNull(r)) << "column " << c << " row " << r;
+      if (a.IsNull(r)) continue;
+      switch (a.type()) {
+        case DataType::kDouble:
+          EXPECT_EQ(std::bit_cast<uint64_t>(a.GetDouble(r)),
+                    std::bit_cast<uint64_t>(b.GetDouble(r)))
+              << "column " << c << " row " << r;
+          break;
+        case DataType::kInt64:
+          EXPECT_EQ(a.GetInt64(r), b.GetInt64(r))
+              << "column " << c << " row " << r;
+          break;
+        case DataType::kString:
+          EXPECT_EQ(a.GetString(r), b.GetString(r))
+              << "column " << c << " row " << r;
+          break;
+      }
+    }
+  }
+}
+
+TEST(CsvTest, MatchesLineReaderOnSeededFiles) {
+  size_t errors = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    CsvOptions options;
+    options.delimiter = seed % 5 == 0 ? ';' : ',';
+    options.treat_empty_as_null = seed % 7 != 0;
+    const std::string csv = SeededCsv(seed, options.delimiter);
+    SCOPED_TRACE(testing::Message() << "seed " << seed << "\n" << csv);
+    auto want = testsupport::LineCsvReadString(csv, "t", options);
+    auto got = ReadCsvString(csv, "t", options);
+    ASSERT_EQ(want.ok(), got.ok())
+        << (want.ok() ? got : want).status().ToString();
+    if (!want.ok()) {
+      ++errors;
+      EXPECT_EQ(want.status().ToString(), got.status().ToString());
+      continue;
+    }
+    ExpectSameTable(*want, *got);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Both paths are exercised: some files fail, most parse.
+  EXPECT_GT(errors, 10u);
+  EXPECT_LT(errors, 200u);
+}
+
+TEST(CsvTest, ReadersDifferOnlyOnQuotedNewlinesAndSubnormals) {
+  const std::string quoted = "s,k\n\"a\nb\",1\n";
+  EXPECT_FALSE(testsupport::LineCsvReadString(quoted, "t").ok());
+  ASSERT_TRUE(ReadCsvString(quoted, "t").ok());
+  EXPECT_EQ(ReadCsvString(quoted, "t")->column(0).GetString(0), "a\nb");
+
+  const std::string subnormal = "x\n1e-310\n";
+  EXPECT_EQ(testsupport::LineCsvReadString(subnormal, "t")->column(0).type(),
+            DataType::kString);
+  EXPECT_EQ(ReadCsvString(subnormal, "t")->column(0).type(), DataType::kDouble);
 }
 
 }  // namespace

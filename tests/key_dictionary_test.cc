@@ -44,22 +44,6 @@ TEST(CanonicalIntKeyTest, RejectsNonCanonicalForms) {
   EXPECT_EQ(CanonicalIntKey("99999999999999999999"), std::nullopt);
 }
 
-TEST(IntegralDoubleKeyTest, ClassifiesDoubles) {
-  int64_t out = 0;
-  EXPECT_TRUE(IntegralDoubleKey(7.0, &out));
-  EXPECT_EQ(out, 7);
-  EXPECT_TRUE(IntegralDoubleKey(-2.0, &out));
-  EXPECT_EQ(out, -2);
-  EXPECT_TRUE(IntegralDoubleKey(0.0, &out));
-  EXPECT_EQ(out, 0);
-
-  EXPECT_FALSE(IntegralDoubleKey(2.5, &out));
-  EXPECT_FALSE(IntegralDoubleKey(std::nan(""), &out));
-  EXPECT_FALSE(IntegralDoubleKey(std::numeric_limits<double>::infinity(),
-                                 &out));
-  EXPECT_FALSE(IntegralDoubleKey(1e16, &out));  // beyond the KeyAt cutoff
-}
-
 TEST(KeyDictionaryTest, AssignsIdsInFirstSeenOrder) {
   Column keys = Column::Int64s({5, 3, 5, 9, 3, 5});
   std::vector<uint32_t> ids;
@@ -107,12 +91,29 @@ TEST(KeyDictionaryTest, CrossTypeLookupMatchesKeyAtSemantics) {
             (std::vector<uint32_t>{0, KeyDictionary::kNoKey, 1}));
 }
 
+// Integral doubles spell as integers up to 1e17, so they meet int64 and
+// canonical-string keys there; from 1e17 they spell in exponent form.
+TEST(KeyDictionaryTest, IntegralDoublesBelow1e17MeetInts) {
+  KeyDictionary dict = BuildDict(Column::Int64s(
+      {10'000'000'000'000'000, 99'999'999'999'999'984, 9'000'000'000'000'000,
+       100'000'000'000'000'000}));
+  EXPECT_EQ(dict.Lookup(Column::Doubles({1e16, 99999999999999984.0, 9e15,
+                                         1e17})),
+            (std::vector<uint32_t>{0, 1, 2, KeyDictionary::kNoKey}));
+  EXPECT_EQ(dict.Lookup(Column::Strings({"10000000000000000", "1e+17"})),
+            (std::vector<uint32_t>{0, KeyDictionary::kNoKey}));
+  KeyDictionary exponent = BuildDict(Column::Strings({"1e+17"}));
+  EXPECT_EQ(exponent.Lookup(Column::Doubles({1e17})),
+            (std::vector<uint32_t>{0}));
+}
+
 TEST(KeyDictionaryTest, StringDictionaryProbedByNumbers) {
   KeyDictionary dict = BuildDict(Column::Strings({"7", "x", "2.5"}));
   EXPECT_EQ(dict.num_keys(), 3u);
 
   EXPECT_EQ(dict.Lookup(Column::Int64s({7})), (std::vector<uint32_t>{0}));
-  // Non-integral doubles format with %.17g; "2.5" is exactly that form.
+  // Non-integral doubles spell with 17 significant digits; "2.5" is
+  // exactly that spelling.
   EXPECT_EQ(dict.Lookup(Column::Doubles({2.5, 7.0})),
             (std::vector<uint32_t>{2, 0}));
 }

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -69,28 +68,14 @@ class NodeMapDictionary {
   }
 
  private:
-  // KeyAt's canonicalisation: true with `*as_int` for the int64 key space,
-  // false with `*as_string` for the string space.
+  // The key space, read off the KeyAt string itself: true with `*as_int`
+  // when that string is a canonical int, false with `*as_string` otherwise.
   static bool Canonical(const Column& col, size_t row, int64_t* as_int,
                         std::string* as_string) {
-    switch (col.type()) {
-      case DataType::kInt64:
-        *as_int = col.GetInt64(row);
-        return true;
-      case DataType::kDouble: {
-        if (IntegralDoubleKey(col.GetDouble(row), as_int)) return true;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", col.GetDouble(row));
-        *as_string = buf;
-        return false;
-      }
-      case DataType::kString:
-        if (auto v = CanonicalIntKey(col.GetString(row))) {
-          *as_int = *v;
-          return true;
-        }
-        *as_string = col.GetString(row);
-        return false;
+    *as_string = col.KeyAt(row);
+    if (auto v = CanonicalIntKey(*as_string)) {
+      *as_int = *v;
+      return true;
     }
     return false;
   }
@@ -103,22 +88,23 @@ class NodeMapDictionary {
 
 /// A seeded key column of `type` with `rows` rows: about a tenth null, the
 /// rest drawn from a pool of `distinct` fresh keys mixed with spellings
-/// that meet across key spaces (7 / 7.0 / "7", "07", "-0", ±9e15 at the
-/// integral-double cutoff, NaN, %.17g doubles), so duplicate groups and
-/// cross-type matches are frequent.
+/// that meet across key spaces (7 / 7.0 / "7", "07", "-0", ±9e15 and 1e16,
+/// ±1e17 where doubles stop spelling as integers, NaN, 17-digit doubles),
+/// so duplicate groups and cross-type matches are frequent.
 inline Column SeededKeyColumn(DataType type, size_t rows, size_t distinct,
                               uint64_t seed) {
   const std::vector<int64_t> ints = {
       7,  0, -3, 9'000'000'000'000'000, -9'000'000'000'000'000,
-      8'999'999'999'999'999, std::numeric_limits<int64_t>::min(),
-      std::numeric_limits<int64_t>::max()};
+      8'999'999'999'999'999, 10'000'000'000'000'000,
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max()};
   const std::vector<double> doubles = {
       7.0, 2.5, -0.0, 0.1, 1.0 / 3.0, std::nan(""), 9e15, -9e15,
-      8999999999999998.0, 1e16, std::numeric_limits<double>::infinity()};
+      8999999999999998.0, 1e16, 99999999999999984.0, 1e17, -1e17,
+      std::numeric_limits<double>::infinity()};
   const std::vector<std::string> strings = {
       "7",   "07", "-0", "0",   "2.5", "0.10000000000000001", "nan",
       "7.0", "",   "x",  "-3",  "9000000000000000", "-9000000000000000",
-      "0.33333333333333331"};
+      "0.33333333333333331", "10000000000000000"};
   Rng rng(seed);
   Column col(type);
   for (size_t i = 0; i < rows; ++i) {

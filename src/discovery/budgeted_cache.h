@@ -4,13 +4,12 @@
 // what it costs, and its metric name.
 //
 // Keys name a lake table ("orders") or one of its columns ("orders" + '\0'
-// + "cust"). The table part is what serving-layer invalidation (CarryOver)
-// matches on and what the cache_evict / cache_rebuild events report. Every
-// value must be a pure function of its key and the adapter's fixed inputs
-// (table contents, seed, sample size) — never of build interleaving or the
-// eviction schedule — so an evicted entry rebuilds byte-identically and
-// results are eviction-oblivious (the `cache.eviction_oblivious` fuzzer
-// invariant).
+// + "cust"). The table part is what EraseTable and CarryOver match on and
+// what the cache_evict / cache_rebuild events report. Every value must be a
+// pure function of its key and the adapter's fixed inputs (table contents,
+// seed, sample size) — never of build interleaving or the eviction
+// schedule — so an evicted entry rebuilds byte-identically and results are
+// eviction-oblivious (the `cache.eviction_oblivious` fuzzer invariant).
 //
 // Memory budget: with budget_bytes > 0 the resident entries stay within the
 // budget. Each insertion first evicts the least-recently-used entries; among
@@ -50,7 +49,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -177,23 +175,22 @@ class BudgetedCache {
       obs::Increment(rebuilds_, built->work);
       AppendEvent("cache_rebuild", key, built->bytes);
     }
-    if (budget_bytes_ == 0 || built->bytes <= budget_bytes_) {
+    if (!entry->erased &&
+        (budget_bytes_ == 0 || built->bytes <= budget_bytes_)) {
       InstallLocked(entry.get(), built->value, built->bytes);
     }
     return built->value;
   }
 
-  /// Installs the resident entries of `prev` whose table is neither in
-  /// `invalidated_tables` nor rejected by `has_table(table)` (a table absent
-  /// from this cache's lake). The caller guarantees both caches build equal
-  /// values for equal keys. Entries keep prev's recency order, carried
-  /// failures are not (they re-resolve), and this cache's budget holds.
-  /// Call before publishing this cache; `prev` may be serving concurrent
-  /// readers. Returns the number of entries installed.
-  template <typename HasTable>
-  size_t CarryOver(const BudgetedCache& prev,
-                   const std::unordered_set<std::string>& invalidated_tables,
-                   HasTable&& has_table) {
+  /// Installs the resident entries of `prev` whose table `keep(table)`
+  /// accepts; the serving layer's per-epoch join cache is its one user. The
+  /// caller guarantees both caches build equal values for equal keys.
+  /// Entries keep prev's recency order, carried failures are not (they
+  /// re-resolve), and this cache's budget holds. Call before publishing
+  /// this cache; `prev` may be serving concurrent readers. Returns the
+  /// number of entries installed.
+  template <typename Keep>
+  size_t CarryOver(const BudgetedCache& prev, Keep&& keep) {
     // Snapshot the survivors under prev's lock, then install under ours —
     // never both at once (no lock-order relationship between two caches).
     struct Carried {
@@ -213,13 +210,11 @@ class BudgetedCache {
             {key, entry->value, entry->bytes, entry->last_used});
       }
     }
-    // Filtered outside prev's lock: `has_table` is the caller's code.
+    // Filtered outside prev's lock: `keep` is the caller's code.
     carried.erase(std::remove_if(carried.begin(), carried.end(),
                                  [&](const Carried& c) {
-                                   const std::string table =
-                                       c.key.substr(0, c.key.find('\0'));
-                                   return invalidated_tables.count(table) > 0 ||
-                                          !has_table(table);
+                                   return !keep(
+                                       c.key.substr(0, c.key.find('\0')));
                                  }),
                   carried.end());
     // Most recently used installed last, so budget eviction (LRU) sheds the
@@ -244,6 +239,21 @@ class BudgetedCache {
       ++installed;
     }
     return installed;
+  }
+
+  /// Erases every entry of `table` and returns their bytes to the gauge.
+  /// Pins stay valid, the next request counts as a first build, and a build
+  /// still running is handed to its caller but not installed.
+  void EraseTable(const std::string& table) {
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    std::erase_if(state_->entries, [&](const auto& item) {
+      const auto& [key, entry] = item;
+      if (key.compare(0, key.find('\0'), table) != 0) return false;
+      state_->resident_bytes -= entry->bytes;
+      Account(-static_cast<int64_t>(entry->bytes));
+      entry->erased = true;
+      return true;
+    });
   }
 
   /// Evicts every resident entry. Outstanding pins stay valid.
@@ -296,6 +306,7 @@ class BudgetedCache {
     uint64_t last_used = 0;  // recency tick of the latest request
     bool ever_built = false; // distinguishes builds from rebuilds
     bool failed = false;
+    bool erased = false;     // dropped from the map by EraseTable
     Status failure;          // sticky build failure
   };
   // Behind a unique_ptr so the cache stays movable (mutexes are not).

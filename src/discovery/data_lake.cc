@@ -273,8 +273,8 @@ std::vector<std::vector<ColumnMatch>> ScoreTablePairs(
         const auto& [i, j] = pairs[p];
         // Pins keep both entries alive for the duration of the match even
         // if a concurrent pair's rebuild evicts them under a budget.
-        LakeSketchCache::TableSketchesPin left = cache.GetOrBuild(i);
-        LakeSketchCache::TableSketchesPin right = cache.GetOrBuild(j);
+        LakeSketchCache::TableSketchesPin left = cache.GetOrBuild(tables[i]);
+        LakeSketchCache::TableSketchesPin right = cache.GetOrBuild(tables[j]);
         return MatchSchemas(tables[i], *left, tables[j], *right, options);
       });
 }

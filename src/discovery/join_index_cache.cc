@@ -91,13 +91,12 @@ void JoinIndexCache::Prewarm(const DatasetRelationGraph& drg,
   });
 }
 
-size_t JoinIndexCache::CarryOver(
-    const JoinIndexCache& prev,
-    const std::unordered_set<std::string>& invalidated_tables) {
+size_t JoinIndexCache::CarryOver(const JoinIndexCache& prev,
+                                 const std::string& touched_table) {
   if (prev.seed_ != seed_) return 0;
-  return cache_.CarryOver(
-      prev.cache_, invalidated_tables,
-      [this](const std::string& table) { return lake_->HasTable(table); });
+  return cache_.CarryOver(prev.cache_, [&](const std::string& table) {
+    return table != touched_table && lake_->HasTable(table);
+  });
 }
 
 }  // namespace autofeat

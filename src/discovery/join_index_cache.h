@@ -25,7 +25,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 
 #include "discovery/budgeted_cache.h"
 #include "obs/metrics.h"
@@ -84,8 +83,8 @@ class JoinIndexCache {
   void Prewarm(const DatasetRelationGraph& drg, ThreadPool* pool = nullptr,
                std::optional<Reach> reach = std::nullopt);
 
-  /// Copies the resident entries of `prev` whose table is neither in
-  /// `invalidated_tables` nor absent from this cache's lake — the serving
+  /// Copies the resident entries of `prev` whose table is neither
+  /// `touched_table` nor absent from this cache's lake — the serving
   /// layer's precise invalidation: a mutation touching one table evicts
   /// exactly that table's entries from the next snapshot's cache, and
   /// every other entry survives by pointer copy. Both caches must share
@@ -96,7 +95,7 @@ class JoinIndexCache {
   /// serving concurrent readers. Returns the number of entries installed
   /// (the serving layer's epoch-lineage carry-over count).
   size_t CarryOver(const JoinIndexCache& prev,
-                   const std::unordered_set<std::string>& invalidated_tables);
+                   const std::string& touched_table);
 
   /// Attaches a structured event log: evictions append `cache_evict` and
   /// post-eviction rebuilds append `cache_rebuild` events (obs/event_log.h).

@@ -152,7 +152,7 @@ LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
       obs::CaptureTaskContext(tables.empty() ? nullptr : tracer);
   ParallelFor(pool, 0, tables.size(), /*grain=*/1, [&](size_t t) {
     obs::ScopedWorkerSpan span(ctx, "sketch.minhash");
-    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
+    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(tables[t]);
     profiles[t] = ComputeTableLshProfiles(tables[t], *pin, options);
   });
 

@@ -72,30 +72,28 @@ double SketchJaccard(const ColumnSketch& a, const ColumnSketch& b) {
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-LakeSketchCache::LakeSketchCache(const DataLake* lake, size_t max_sample,
+LakeSketchCache::LakeSketchCache(size_t max_sample,
                                  obs::MetricsRegistry* metrics,
                                  size_t budget_bytes)
-    : lake_(lake),
-      max_sample_(max_sample),
+    : max_sample_(max_sample),
       cache_("sketch", metrics, budget_bytes, /*count_requests=*/false) {}
 
 LakeSketchCache LakeSketchCache::Build(const DataLake& lake,
                                        size_t max_sample, ThreadPool* pool,
                                        obs::MetricsRegistry* metrics,
                                        size_t budget_bytes) {
-  LakeSketchCache cache(&lake, max_sample, metrics, budget_bytes);
-  cache.PrewarmAll(pool);
+  LakeSketchCache cache(max_sample, metrics, budget_bytes);
+  cache.PrewarmAll(lake, pool);
   return cache;
 }
 
 LakeSketchCache::TableSketchesPin LakeSketchCache::GetOrBuild(
-    size_t table_index) {
-  return GetOrBuildWithTick(table_index, /*tick=*/0, /*pool=*/nullptr);
+    const Table& table) {
+  return GetOrBuildWithTick(table, /*tick=*/0, /*pool=*/nullptr);
 }
 
 LakeSketchCache::TableSketchesPin LakeSketchCache::GetOrBuildWithTick(
-    size_t table_index, uint64_t tick, ThreadPool* pool) {
-  const Table& table = lake_->tables()[table_index];
+    const Table& table, uint64_t tick, ThreadPool* pool) {
   auto build = [&](bool) -> Result<BudgetedCache<Sketches>::Built> {
     obs::ScopedWorkerSpan span(pool != nullptr ? pool->tracer() : nullptr,
                                "sketch.table");
@@ -113,23 +111,15 @@ LakeSketchCache::TableSketchesPin LakeSketchCache::GetOrBuildWithTick(
   return cache_.GetOrBuild(table.name(), build, tick).MoveValue();
 }
 
-void LakeSketchCache::PrewarmAll(ThreadPool* pool) {
+void LakeSketchCache::PrewarmAll(const DataLake& lake, ThreadPool* pool) {
   // One recency tick for the whole batch: prewarmed entries are equally
   // recent, so the cost-aware (largest-first) tie-break decides eviction
   // order among them under a budget.
   const uint64_t batch_tick = cache_.NextTick();
-  ParallelFor(pool, 0, lake_->num_tables(), /*grain=*/1, [&](size_t t) {
-    GetOrBuildWithTick(t, batch_tick, pool);
+  const auto& tables = lake.tables();
+  ParallelFor(pool, 0, tables.size(), /*grain=*/1, [&](size_t t) {
+    GetOrBuildWithTick(tables[t], batch_tick, pool);
   });
-}
-
-size_t LakeSketchCache::CarryOver(
-    const LakeSketchCache& prev,
-    const std::unordered_set<std::string>& invalidated_tables) {
-  if (prev.max_sample_ != max_sample_) return 0;
-  return cache_.CarryOver(
-      prev.cache_, invalidated_tables,
-      [this](const std::string& table) { return lake_->HasTable(table); });
 }
 
 }  // namespace autofeat

@@ -16,8 +16,10 @@
 // under sampling.
 //
 // The budget, pins, eviction order, thread safety and byte gauges are
-// BudgetedCache's (discovery/budgeted_cache.h), keyed by table name — so
-// entries carry across snapshots whose table positions differ. Profiles
+// BudgetedCache's (discovery/budgeted_cache.h). Entries are keyed by table
+// name and built from the Table the caller passes, so the cache is bound to
+// no lake; a caller whose table changes under the same name must
+// Invalidate it, as the serving layer does on append and drop. Profiles
 // are pure functions of (table contents, max_sample), so rebuilds are
 // byte-identical and eviction never changes the discovered DRG.
 
@@ -29,7 +31,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "discovery/budgeted_cache.h"
@@ -86,52 +87,43 @@ double SketchContainment(const ColumnSketch& a, const ColumnSketch& b);
 double SketchJaccard(const ColumnSketch& a, const ColumnSketch& b);
 
 /// \brief Budget-aware cache of every lake column's sketch, one entry per
-/// table (columns of a table share value scans' cache locality), indexed by
-/// table position.
+/// table (columns of a table share value scans' cache locality), keyed by
+/// table name.
 class LakeSketchCache {
  public:
   /// A pinned per-table entry (sketches aligned with the table's column
   /// order): stays valid across eviction until the caller drops it.
   using TableSketchesPin = std::shared_ptr<const std::vector<ColumnSketch>>;
 
-  /// `lake` must outlive the cache. `budget_bytes` bounds the resident
-  /// footprint (0 = unbounded). A non-null `metrics` counts
-  /// `sketch_cache.builds` (column sketches first computed — deterministic)
-  /// plus the schedule-dependent `sketch_cache.rebuilds` /
-  /// `sketch_cache.evictions` counters and `sketch_cache.bytes` /
-  /// `.bytes_peak` gauges (all registered non-deterministic, as in
-  /// JoinIndexCache).
-  LakeSketchCache(const DataLake* lake, size_t max_sample,
-                  obs::MetricsRegistry* metrics = nullptr,
-                  size_t budget_bytes = 0);
+  /// `budget_bytes` bounds the resident footprint (0 = unbounded). A
+  /// non-null `metrics` counts `sketch_cache.builds` (column sketches first
+  /// computed — deterministic) plus the schedule-dependent
+  /// `sketch_cache.rebuilds` / `sketch_cache.evictions` counters and
+  /// `sketch_cache.bytes` / `.bytes_peak` gauges (all registered
+  /// non-deterministic, as in JoinIndexCache).
+  explicit LakeSketchCache(size_t max_sample,
+                           obs::MetricsRegistry* metrics = nullptr,
+                           size_t budget_bytes = 0);
 
-  /// Compatibility builder: constructs a cache over `lake` and prewarms
-  /// every table (fanning out over `pool` when given; per-table sketching
+  /// Compatibility builder: constructs a cache and prewarms every table of
+  /// `lake` (fanning out over `pool` when given; per-table sketching
   /// records `sketch.table` worker spans into the pool's attached tracer).
   static LakeSketchCache Build(const DataLake& lake, size_t max_sample,
                                ThreadPool* pool = nullptr,
                                obs::MetricsRegistry* metrics = nullptr,
                                size_t budget_bytes = 0);
 
-  /// The sketches of table `table_index`, built on first request and
-  /// rebuilt after eviction. Thread-safe; concurrent requests build once.
-  TableSketchesPin GetOrBuild(size_t table_index);
+  /// The sketches of `table`, built on first request and rebuilt after
+  /// eviction. Thread-safe; concurrent requests build once.
+  TableSketchesPin GetOrBuild(const Table& table);
 
-  /// Builds every table's entry (one shared batch recency tick, as
-  /// JoinIndexCache::Prewarm).
-  void PrewarmAll(ThreadPool* pool = nullptr);
+  /// Builds every table's entry of `lake` (one shared batch recency tick,
+  /// as JoinIndexCache::Prewarm).
+  void PrewarmAll(const DataLake& lake, ThreadPool* pool = nullptr);
 
-  /// Copies the resident entries of `prev` for every table of this cache's
-  /// lake that exists in `prev`'s lake under the same *name* and is not in
-  /// `invalidated_tables` (serving-layer precise invalidation; entries are
-  /// matched by name because positions shift when a table is dropped).
-  /// Both caches must share max_sample; sketches are pure functions of
-  /// (table contents, max_sample), so carried pins equal a rebuild.
-  /// Respects this cache's budget. `prev` may be serving concurrent
-  /// readers. Returns the number of entries installed (the serving layer's
-  /// epoch-lineage carry-over count).
-  size_t CarryOver(const LakeSketchCache& prev,
-                   const std::unordered_set<std::string>& invalidated_tables);
+  /// Erases `table`'s entry and returns its bytes to the gauge; the next
+  /// GetOrBuild sketches the table afresh. Outstanding pins stay valid.
+  void Invalidate(const std::string& table) { cache_.EraseTable(table); }
 
   /// Attaches a structured event log: evictions append `cache_evict` and
   /// post-eviction rebuilds append `cache_rebuild` events (obs/event_log.h).
@@ -149,10 +141,9 @@ class LakeSketchCache {
  private:
   using Sketches = std::vector<ColumnSketch>;
 
-  TableSketchesPin GetOrBuildWithTick(size_t table_index, uint64_t tick,
+  TableSketchesPin GetOrBuildWithTick(const Table& table, uint64_t tick,
                                       ThreadPool* pool);
 
-  const DataLake* lake_;
   size_t max_sample_ = 0;
   BudgetedCache<Sketches> cache_;
 };

@@ -40,12 +40,16 @@ LakeService::LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
       epoch_gauge_(obs::GetGauge(metrics, "serve.epoch")),
       query_latency_(obs::GetQuantile(metrics, "serve.query_latency_ns")),
       mutation_latency_(
-          obs::GetQuantile(metrics, "serve.mutation_latency_ns")) {
+          obs::GetQuantile(metrics, "serve.mutation_latency_ns")),
+      sketch_cache_(std::make_shared<LakeSketchCache>(
+          options_.match.max_sample_values, metrics,
+          options_.match.memory_budget_bytes)) {
   if (ResolveNumThreads(options_.config.num_threads) > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.config.num_threads);
     if (metrics_ != nullptr) pool_->set_metrics(metrics_);
     if (tracer_ != nullptr) pool_->set_tracer(tracer_);
   }
+  sketch_cache_->set_event_log(event_log_);
 }
 
 Result<std::unique_ptr<LakeService>> LakeService::Create(
@@ -56,18 +60,15 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
   auto snap = std::make_shared<LakeSnapshot>();
   snap->epoch = 0;
   snap->lake = std::move(initial);
-  snap->sketch_cache = std::make_shared<LakeSketchCache>(
-      &snap->lake, service->options_.match.max_sample_values, metrics,
-      service->options_.match.memory_budget_bytes);
-  snap->sketch_cache->set_event_log(event_log);
-  snap->sketch_cache->PrewarmAll(service->pool_.get());
+  service->sketch_cache_->PrewarmAll(snap->lake, service->pool_.get());
+  snap->sketch_cache = service->sketch_cache_;
   // Epoch 0 takes its pairs from the batch candidate generator; its counters
   // stay out of the service registry, which counts serving work only. The
   // index's profiles seed the cache RematchTable reads, so no mutation
   // re-profiles (and, under a budget, re-sketches) an untouched table.
   std::vector<std::vector<ColumnLshProfile>> profiles;
   const std::vector<std::pair<size_t, size_t>> pairs = CandidateTablePairs(
-      snap->lake, *snap->sketch_cache, service->options_.match,
+      snap->lake, *service->sketch_cache_, service->options_.match,
       service->pool_.get(), /*metrics=*/nullptr, &profiles);
   for (size_t i = 0; i < profiles.size(); ++i) {
     service->profiles_.emplace(snap->lake.tables()[i].name(),
@@ -100,13 +101,13 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
 }
 
 const std::vector<ColumnLshProfile>& LakeService::ProfileFor(
-    const LakeSnapshot& snap, size_t index, const std::string& name) {
-  auto it = profiles_.find(name);
+    const Table& table) {
+  auto it = profiles_.find(table.name());
   if (it != profiles_.end()) return it->second;
-  LakeSketchCache::TableSketchesPin pin = snap.sketch_cache->GetOrBuild(index);
+  LakeSketchCache::TableSketchesPin pin = sketch_cache_->GetOrBuild(table);
   return profiles_
-      .emplace(name, ComputeTableLshProfiles(snap.lake.tables()[index], *pin,
-                                             options_.match.lsh))
+      .emplace(table.name(),
+               ComputeTableLshProfiles(table, *pin, options_.match.lsh))
       .first->second;
 }
 
@@ -114,7 +115,7 @@ void LakeService::StorePairScores(
     const LakeSnapshot& snap,
     const std::vector<std::pair<size_t, size_t>>& pairs) {
   std::vector<std::vector<ColumnMatch>> matches = ScoreTablePairs(
-      snap.lake, *snap.sketch_cache, pairs, options_.match, pool_.get());
+      snap.lake, *sketch_cache_, pairs, options_.match, pool_.get());
   const auto tables = snap.lake.tables();
   for (size_t p = 0; p < pairs.size(); ++p) {
     const auto& [i, j] = pairs[p];
@@ -126,7 +127,7 @@ void LakeService::StorePairScores(
 
 Status LakeService::RematchTable(const LakeSnapshot& snap,
                                  const std::string& target,
-                                 MatchStats* stats) {
+                                 EpochLineage* lineage) {
   const auto tables = snap.lake.tables();
   const size_t n = tables.size();
   size_t target_idx = n;
@@ -146,20 +147,20 @@ Status LakeService::RematchTable(const LakeSnapshot& snap,
   // rehashing.
   const bool lsh = UsesLshCandidates(options_.match);
   const std::vector<ColumnLshProfile>* tprof =
-      lsh ? &ProfileFor(snap, target_idx, target) : nullptr;
+      lsh ? &ProfileFor(tables[target_idx]) : nullptr;
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t u = 0; u < n; ++u) {
     if (u == target_idx) continue;
     if (lsh &&
-        !LshTablesCollide(*tprof, ProfileFor(snap, u, tables[u].name()))) {
+        !LshTablesCollide(*tprof, ProfileFor(tables[u]))) {
       obs::Increment(pairs_skipped_);
-      if (stats != nullptr) ++stats->skipped;
+      ++lineage->pairs_skipped;
       continue;
     }
     pairs.emplace_back(std::min(u, target_idx), std::max(u, target_idx));
   }
   StorePairScores(snap, pairs);
-  if (stats != nullptr) stats->rescored += pairs.size();
+  lineage->pairs_rescored += pairs.size();
   obs::Increment(tables_rematched_);
   return Status::OK();
 }
@@ -190,7 +191,6 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
     return applied;
   }
   const std::string target = mutation.TargetTable();
-  const std::unordered_set<std::string> invalidated{target};
 
   EpochLineage lineage;
   lineage.epoch = next->epoch;
@@ -198,14 +198,12 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
   lineage.cause = kind_name;
   lineage.target_table = target;
 
-  // Precise invalidation: every untouched table's sketches carry over by
-  // pointer; the target's entry (if any) is left behind.
-  next->sketch_cache = std::make_shared<LakeSketchCache>(
-      &next->lake, options_.match.max_sample_values, metrics_,
-      options_.match.memory_budget_bytes);
-  next->sketch_cache->set_event_log(event_log_);
-  lineage.sketch_entries_carried =
-      next->sketch_cache->CarryOver(*prev->sketch_cache, invalidated);
+  // An append or drop erases the target's sketches; an added table has
+  // none yet.
+  if (mutation.kind != LakeMutation::Kind::kAddTable) {
+    sketch_cache_->Invalidate(target);
+  }
+  next->sketch_cache = sketch_cache_;
 
   // Incremental DRG maintenance: drop the target's pairs, re-score only
   // pairs touching it, rebuild the graph canonically (see drg_delta.h).
@@ -213,22 +211,27 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
   profiles_.erase(target);
   lineage.pairs_carried = match_store_.num_pairs();
   if (mutation.kind != LakeMutation::Kind::kDropTable) {
-    MatchStats stats;
-    AF_RETURN_NOT_OK(RematchTable(*next, target, &stats));
-    lineage.pairs_rescored = stats.rescored;
-    lineage.pairs_skipped = stats.skipped;
+    obs::ScopedSpan rematch_span(tracer_, "serve.rematch");
+    AF_RETURN_NOT_OK(RematchTable(*next, target, &lineage));
   }
-  AF_ASSIGN_OR_RETURN(next->drg,
-                      match_store_.BuildGraph(next->lake.TableNames()));
+  {
+    obs::ScopedSpan drg_span(tracer_, "serve.drg_rebuild");
+    AF_ASSIGN_OR_RETURN(next->drg,
+                        match_store_.BuildGraph(next->lake.TableNames()));
+  }
   lineage.num_tables = next->lake.num_tables();
   lineage.drg_edges = next->drg.num_edges();
 
-  next->join_cache = std::make_shared<JoinIndexCache>(
-      &next->lake, options_.config.seed, metrics_, tracer_,
-      options_.config.memory_budget_bytes);
-  next->join_cache->set_event_log(event_log_);
-  lineage.join_entries_carried =
-      next->join_cache->CarryOver(*prev->join_cache, invalidated);
+  {
+    // Queries of older epochs keep reading their own join indexes.
+    obs::ScopedSpan carry_span(tracer_, "serve.join_carry");
+    next->join_cache = std::make_shared<JoinIndexCache>(
+        &next->lake, options_.config.seed, metrics_, tracer_,
+        options_.config.memory_budget_bytes);
+    next->join_cache->set_event_log(event_log_);
+    lineage.join_entries_carried =
+        next->join_cache->CarryOver(*prev->join_cache, target);
+  }
 
   obs::Increment(mutations_);
   obs::Set(epoch_gauge_, static_cast<int64_t>(next->epoch));
@@ -403,8 +406,7 @@ void LakeService::RecordLineage(EpochLineage record) {
                {"pairs_rescored", record.pairs_rescored},
                {"pairs_skipped", record.pairs_skipped},
                {"pairs_carried", record.pairs_carried},
-               {"join_entries_carried", record.join_entries_carried},
-               {"sketch_entries_carried", record.sketch_entries_carried}});
+               {"join_entries_carried", record.join_entries_carried}});
   std::lock_guard<std::mutex> lock(lineage_mutex_);
   lineage_.push_back(std::move(record));
 }
@@ -428,9 +430,7 @@ std::string LakeService::LineageJson() const {
         << ", \"pairs_rescored\": " << r.pairs_rescored
         << ", \"pairs_skipped\": " << r.pairs_skipped
         << ", \"pairs_carried\": " << r.pairs_carried
-        << ", \"join_entries_carried\": " << r.join_entries_carried
-        << ", \"sketch_entries_carried\": " << r.sketch_entries_carried
-        << "}";
+        << ", \"join_entries_carried\": " << r.join_entries_carried << "}";
   }
   out << (records.empty() ? "]\n" : "\n]\n");
   return out.str();

@@ -8,17 +8,18 @@
 //    are re-scored; candidate generation for the touched table runs the
 //    pairwise LSH collision predicate against cached per-table profiles
 //    instead of rebuilding the lake-wide index) and *precise* cache
-//    invalidation (both caches carry every untouched entry into the next
-//    snapshot by pointer copy; only the touched table's entries rebuild);
+//    invalidation (only the touched table's entries rebuild: the one
+//    service-lifetime sketch cache erases them in place, and each epoch's
+//    join cache carries every other entry of the last one by pointer);
 //  * a concurrent query API — Discover / Augment — that any number of
 //    threads may call while mutations run.
 //
 // Epoch scheme: the service publishes immutable snapshots. A snapshot pins
-// {epoch, lake, DRG, join-index cache, sketch cache} behind one
-// shared_ptr<const Snapshot>; queries pin the current snapshot for their
-// whole run and never block on (or observe) a concurrent mutation, while
-// the lake's copy-on-write table storage makes the per-mutation snapshot
-// copy O(tables) pointer copies. A mutation builds the next snapshot off
+// {epoch, lake, DRG, join-index cache} behind one shared_ptr<const
+// Snapshot>; queries pin the current snapshot for their whole run and never
+// block on (or observe) a concurrent mutation, while the lake's
+// copy-on-write table storage makes the per-mutation snapshot copy
+// O(tables) pointer copies. A mutation builds the next snapshot off
 // the current one under the writer mutex (mutations serialise; queries do
 // not), then swaps the published pointer. Old snapshots stay alive until
 // their last reader drops the pin — there is no use-after-evict by
@@ -39,7 +40,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/autofeat.h"
@@ -98,9 +98,8 @@ struct EpochLineage {
   size_t pairs_rescored = 0;
   size_t pairs_skipped = 0;
   size_t pairs_carried = 0;
-  /// Cache entries carried into this epoch's caches by pointer copy.
+  /// Join-index entries carried into this epoch's cache by pointer copy.
   size_t join_entries_carried = 0;
-  size_t sketch_entries_carried = 0;
 };
 
 /// \brief A published, immutable view of the service state at one epoch.
@@ -111,7 +110,10 @@ struct LakeSnapshot {
   /// Shared across queries of this epoch; entries for untouched tables are
   /// carried (by pointer) from the previous epoch's cache.
   std::shared_ptr<JoinIndexCache> join_cache;
-  std::shared_ptr<LakeSketchCache> sketch_cache;
+  /// The service's one sketch cache, read-only: a reader of an older epoch
+  /// can read its sizes but never get a newer table's sketches. Kept only
+  /// because the ledger bench reads its resident_bytes().
+  std::shared_ptr<const LakeSketchCache> sketch_cache;
 };
 
 /// \brief The long-lived in-process AutoFeat service.
@@ -153,10 +155,12 @@ class LakeService {
 
   // -- Mutations (serialised; each returns the new epoch) -----------------
 
-  /// Applies one mutation: lake update, incremental re-match of the touched
-  /// table, canonical DRG rebuild, cache carry-over, snapshot publish. A
-  /// failed mutation (duplicate add, schema-mismatched append, missing
-  /// drop target) changes nothing and leaves the current epoch in place.
+  /// Applies one mutation: lake update, sketch invalidation, incremental
+  /// re-match of the touched table (span `serve.rematch`), canonical DRG
+  /// rebuild (`serve.drg_rebuild`), join-cache carry-over
+  /// (`serve.join_carry`), snapshot publish. A failed mutation (duplicate
+  /// add, schema-mismatched append, missing drop target) changes nothing
+  /// and leaves the current epoch in place.
   Result<uint64_t> Apply(const LakeMutation& mutation);
 
   Result<uint64_t> AddTable(Table table);
@@ -199,28 +203,19 @@ class LakeService {
   std::string LineageJson() const;
 
  private:
-  /// Per-mutation incremental-maintenance tallies feeding EpochLineage.
-  struct MatchStats {
-    size_t rescored = 0;
-    size_t skipped = 0;
-  };
-
   LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
               obs::Tracer* tracer, obs::EventLog* event_log);
 
-  /// The cached LSH profile of `table` (position `index` in `snap`),
-  /// computing and memoising it on first use. Create seeds the cache with
-  /// the candidate index's profiles, so only added or mutated tables are
-  /// profiled here.
-  const std::vector<ColumnLshProfile>& ProfileFor(const LakeSnapshot& snap,
-                                                  size_t index,
-                                                  const std::string& name);
+  /// The cached LSH profile of `table`, computing and memoising it on
+  /// first use. Create seeds the cache with the candidate index's profiles,
+  /// so only added or mutated tables are profiled here.
+  const std::vector<ColumnLshProfile>& ProfileFor(const Table& table);
 
   /// Re-scores every candidate pair touching `target` (present in
-  /// snap->lake) and updates the match store. Writer mutex held. A
-  /// non-null `stats` receives this call's rescored/skipped tallies.
+  /// snap->lake), updates the match store and adds the pairs rescored and
+  /// skipped to `lineage`. Writer mutex held.
   Status RematchTable(const LakeSnapshot& snap, const std::string& target,
-                      MatchStats* stats = nullptr);
+                      EpochLineage* lineage);
 
   /// Scores `pairs` (ascending (i, j) positions in snap->lake) with the
   /// batch pair scorer and installs the matches in the store. Writer mutex
@@ -269,10 +264,12 @@ class LakeService {
   std::vector<EpochLineage> lineage_;
 
   // Writer-side state (guarded by writer_mutex_): the canonical match
-  // store the DRG is rebuilt from, and the per-table LSH profiles.
+  // store the DRG is rebuilt from, the per-table LSH profiles and the
+  // sketch cache both come from (snapshots share it read-only).
   std::mutex writer_mutex_;
   DrgMatchStore match_store_;
   std::unordered_map<std::string, std::vector<ColumnLshProfile>> profiles_;
+  std::shared_ptr<LakeSketchCache> sketch_cache_;
 
   // The published snapshot (guarded by snapshot_mutex_ for the pointer
   // swap only; the pointee is immutable).

@@ -163,15 +163,14 @@ std::string_view WriteDouble(double v, KeyBuffer* buf) {
 
 }  // namespace
 
-std::string Column::ValueToString(size_t i) const {
-  if (IsNull(i)) return "";
-  KeyBuffer buf;
+std::string_view Column::WriteValue(size_t i, KeyBuffer* buf) const {
+  if (IsNull(i)) return {};
   switch (type_) {
-    case DataType::kDouble: return std::string(WriteDouble(doubles_[i], &buf));
-    case DataType::kInt64: return std::string(WriteInt64(int64s_[i], &buf));
+    case DataType::kDouble: return WriteDouble(doubles_[i], buf);
+    case DataType::kInt64: return WriteInt64(int64s_[i], buf);
     case DataType::kString: return strings_[i];
   }
-  return "";
+  return {};
 }
 
 std::string_view Column::WriteKey(size_t i, KeyBuffer* buf) const {

@@ -109,8 +109,13 @@ class Column {
 
   /// Human-readable value for CSV output and debugging ("" for null):
   /// doubles with 17 significant digits, which round-trip every value but
-  /// a NaN's payload.
-  std::string ValueToString(size_t i) const;
+  /// a NaN's payload. WriteValue returns it as a view of `buf` or of the
+  /// string cell, so nothing allocates.
+  std::string_view WriteValue(size_t i, KeyBuffer* buf) const;
+  std::string ValueToString(size_t i) const {
+    KeyBuffer buf;
+    return std::string(WriteValue(i, &buf));
+  }
 
   /// The key spelling of non-null row i: the one rule for when two cells
   /// hold the same value, which joins, the key dictionary, DRG profiles

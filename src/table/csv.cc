@@ -101,18 +101,20 @@ bool IsNullToken(std::string_view s, const CsvOptions& options) {
          s == "NaN";
 }
 
-std::string NeedsQuoting(const std::string& s, char delim) {
-  if (s.find(delim) == std::string::npos &&
-      s.find_first_of("\"\n\r") == std::string::npos) {
-    return s;
+// Appends `s` to `out`, quoted when it holds the delimiter, a quote or a
+// line break.
+void AppendCsvField(std::string_view s, char delim, std::string* out) {
+  const char special[] = {delim, '"', '\n', '\r'};
+  if (s.find_first_of(std::string_view(special, 4)) == s.npos) {
+    out->append(s);
+    return;
   }
-  std::string quoted = "\"";
+  out->push_back('"');
   for (char c : s) {
-    if (c == '"') quoted += '"';  // Escape quotes by doubling.
-    quoted += c;
+    if (c == '"') out->push_back('"');  // Escape quotes by doubling.
+    out->push_back(c);
   }
-  quoted += '"';
-  return quoted;
+  out->push_back('"');
 }
 
 }  // namespace
@@ -235,19 +237,25 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
 }
 
 std::string WriteCsvString(const Table& table, const CsvOptions& options) {
+  const char delim = options.delimiter;
   std::string out;
   const auto names = table.ColumnNames();
   for (size_t c = 0; c < names.size(); ++c) {
-    if (c > 0) out += options.delimiter;
-    out += NeedsQuoting(names[c], options.delimiter);
+    if (c > 0) out += delim;
+    AppendCsvField(names[c], delim, &out);
   }
   out += '\n';
-  for (size_t r = 0; r < table.num_rows(); ++r) {
+  KeyBuffer buf;
+  const size_t rows = table.num_rows();
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t start = out.size();
     for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c > 0) out += options.delimiter;
-      out += NeedsQuoting(table.column(c).ValueToString(r), options.delimiter);
+      if (c > 0) out += delim;
+      AppendCsvField(table.column(c).WriteValue(r, &buf), delim, &out);
     }
     out += '\n';
+    // Size the output once, from the first row's width.
+    if (r == 0) out.reserve(out.size() + (out.size() - start) * rows);
   }
   return out;
 }

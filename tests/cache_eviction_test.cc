@@ -192,7 +192,31 @@ TEST(BudgetedCacheTest, EvictRandomHalfIsDeterministicAndComplementary) {
   for (const std::string& key : kept1) EXPECT_EQ(kept3.count(key), 0u);
 }
 
-TEST(BudgetedCacheTest, CarryOverSkipsInvalidatedTablesAndKeepsRecencyOrder) {
+TEST(BudgetedCacheTest, EraseTableDropsOneTablesKeysAndReturnsBytes) {
+  obs::MetricsRegistry registry;
+  ToyCache cache = MakeToy(&registry, 0);
+  const std::string orders_cust = std::string("orders") + '\0' + "cust";
+  Miss(&cache, "orders", 100);
+  Miss(&cache, orders_cust, 30);
+  Miss(&cache, "orders_archive", 50);  // shares a prefix, not the table
+  Result<ToyCache::Pin> pin = cache.GetOrBuild("orders", Builder(100));
+
+  cache.EraseTable("orders");
+  EXPECT_EQ(cache.num_entries(), 1u);
+  EXPECT_EQ(cache.resident_bytes(), 50u);
+  EXPECT_EQ(registry.GaugeValue("toy_cache.bytes"), 50);
+  EXPECT_EQ(**pin, "v");  // outstanding pins stay valid
+  EXPECT_EQ(registry.CounterValue("toy_cache.evictions"), 0u);
+
+  // The erased keys build afresh, as first builds, not rebuilds.
+  EXPECT_TRUE(Miss(&cache, "orders"));
+  EXPECT_TRUE(Miss(&cache, orders_cust));
+  EXPECT_FALSE(Miss(&cache, "orders_archive"));
+  EXPECT_EQ(registry.CounterValue("toy_cache.builds"), 5u);
+  EXPECT_EQ(registry.CounterValue("toy_cache.rebuilds"), 0u);
+}
+
+TEST(BudgetedCacheTest, CarryOverSkipsRejectedTablesAndKeepsRecencyOrder) {
   obs::MetricsRegistry registry;
   ToyCache prev = MakeToy(&registry, 0);
   const std::string orders_cust = std::string("orders") + '\0' + "cust";
@@ -204,12 +228,12 @@ TEST(BudgetedCacheTest, CarryOverSkipsInvalidatedTablesAndKeepsRecencyOrder) {
   Miss(&prev, "a");  // most recent now
   Result<ToyCache::Pin> a_pin = prev.GetOrBuild("a", Builder(100));
 
-  // Only `a` and `c` survive: `b` and `orders` (matched on the key's table
-  // part) are invalidated, and `gone` is missing from the new lake.
+  // Only `a` and `c` survive: `b`, `orders` (matched on the key's table
+  // part) and `gone` are rejected.
   ToyCache next = MakeToy(&registry, 200);
-  const size_t installed =
-      next.CarryOver(prev, {"b", "orders"},
-                     [](const std::string& table) { return table != "gone"; });
+  const size_t installed = next.CarryOver(prev, [](const std::string& table) {
+    return table != "b" && table != "orders" && table != "gone";
+  });
   EXPECT_EQ(installed, 2u);
   EXPECT_EQ(next.num_resident(), 2u);
   Result<ToyCache::Pin> carried = next.GetOrBuild("a", Builder(100));
@@ -219,7 +243,7 @@ TEST(BudgetedCacheTest, CarryOverSkipsInvalidatedTablesAndKeepsRecencyOrder) {
 
   // A tighter budget keeps only the most recent survivor.
   ToyCache tight = MakeToy(&registry, 100);
-  EXPECT_EQ(tight.CarryOver(prev, {}, [](const std::string&) { return true; }),
+  EXPECT_EQ(tight.CarryOver(prev, [](const std::string&) { return true; }),
             5u);
   EXPECT_EQ(tight.num_resident(), 1u);
   EXPECT_FALSE(Miss(&tight, "a"));
@@ -431,13 +455,13 @@ TEST(LakeSketchCacheEvictionTest, RebuildReproducesIdenticalSketches) {
   DataLake lake = LakeOf({KeyTable("a", 30, 6), KeyTable("b", 60, 10),
                           KeyTable("c", 90, 14), KeyTable("d", 45, 8)});
   obs::MetricsRegistry registry;
-  LakeSketchCache cache(&lake, /*max_sample=*/64, &registry);
+  LakeSketchCache cache(/*max_sample=*/64, &registry);
   std::vector<LakeSketchCache::TableSketchesPin> first(4);
-  for (size_t t = 0; t < 4; ++t) first[t] = cache.GetOrBuild(t);
+  for (size_t t = 0; t < 4; ++t) first[t] = cache.GetOrBuild(lake.tables()[t]);
   cache.EvictAll();
   EXPECT_EQ(cache.num_resident(), 0u);
   for (size_t t = 0; t < 4; ++t) {
-    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
+    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(lake.tables()[t]);
     ASSERT_EQ(pin->size(), 2u);  // "k" and "v"
     EXPECT_NE(pin.get(), first[t].get());
     for (size_t col = 0; col < 2; ++col) {
@@ -460,7 +484,7 @@ TEST(LakeSketchCacheEvictionTest, PrewarmAccountingAudit) {
 
   size_t pinned_bytes = 0;
   for (size_t t = 0; t < lake.num_tables(); ++t) {
-    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
+    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(lake.tables()[t]);
     size_t entry = sizeof(std::vector<ColumnSketch>);
     for (const ColumnSketch& sketch : *pin) entry += sketch.ApproxBytes();
     pinned_bytes += entry;

@@ -1,6 +1,7 @@
 #include "table/csv.h"
 
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -271,6 +272,105 @@ TEST(CsvTest, ReadersDifferOnlyOnQuotedNewlinesAndSubnormals) {
   EXPECT_EQ(testsupport::LineCsvReadString(subnormal, "t")->column(0).type(),
             DataType::kString);
   EXPECT_EQ(ReadCsvString(subnormal, "t")->column(0).type(), DataType::kDouble);
+}
+
+// ---- The writer against its per-cell form ----------------------------------
+
+// WriteCsvString as it was written cell by cell: ValueToString, then a
+// quoted copy.
+std::string PerCellCsv(const Table& table, char delim) {
+  auto quoted = [delim](const std::string& s) {
+    if (s.find(delim) == std::string::npos &&
+        s.find_first_of("\"\n\r") == std::string::npos) {
+      return s;
+    }
+    std::string q = "\"";
+    for (char ch : s) {
+      if (ch == '"') q += '"';
+      q += ch;
+    }
+    return q + '"';
+  };
+  std::string out;
+  const auto names = table.ColumnNames();
+  for (size_t c = 0; c < names.size(); ++c) {
+    if (c > 0) out += delim;
+    out += quoted(names[c]);
+  }
+  out += '\n';
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (c > 0) out += delim;
+      out += quoted(table.column(c).ValueToString(r));
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+const char* const kWrittenStrings[] = {
+    "abc", "", "a,b", "a;b", "a\tb", "\"", "he said \"hi\"", "x\r",
+    "line\nbreak", "\r\n", " spaced ", "\xc3\xa9", "1.5", "-0", "NA"};
+
+// A seeded table: int64, double and string columns with nulls, and header
+// names that need quoting now and then.
+Table SeededTable(uint64_t seed) {
+  Rng rng(seed);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,  -0.0, inf,    -inf,  std::nan(""),
+                             -std::nan(""), 1e17, -1e17, 0.1,  5e-324,
+                             std::numeric_limits<double>::max(), 42.0};
+  const size_t rows = rng.UniformIndex(40);
+  Table table("t");
+  const size_t ncols = 1 + rng.UniformIndex(5);
+  for (size_t c = 0; c < ncols; ++c) {
+    std::vector<uint8_t> valid(rows);
+    for (uint8_t& v : valid) v = rng.Bernoulli(0.2) ? 0 : 1;
+    Column col;
+    switch (rng.UniformIndex(3)) {
+      case 0: {
+        std::vector<int64_t> values(rows);
+        for (int64_t& v : values) {
+          v = rng.Bernoulli(0.1) ? std::numeric_limits<int64_t>::min()
+                                 : rng.UniformInt(-1000000, 1000000);
+        }
+        col = Column::Int64s(std::move(values), std::move(valid));
+        break;
+      }
+      case 1: {
+        std::vector<double> values(rows);
+        for (double& v : values) {
+          v = rng.Bernoulli(0.4) ? specials[rng.UniformIndex(12)]
+                                 : rng.Uniform(-1e6, 1e6);
+        }
+        col = Column::Doubles(std::move(values), std::move(valid));
+        break;
+      }
+      default: {
+        std::vector<std::string> values(rows);
+        for (std::string& v : values) v = Pick(&rng, kWrittenStrings);
+        col = Column::Strings(std::move(values), std::move(valid));
+        break;
+      }
+    }
+    const std::string name = rng.Bernoulli(0.3)
+                                 ? "c\"" + std::to_string(c) + ",;\n"
+                                 : "c" + std::to_string(c);
+    table.AddColumn(name, std::move(col)).Abort();
+  }
+  return table;
+}
+
+TEST(CsvTest, WriterMatchesItsPerCellFormOnSeededTables) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const Table table = SeededTable(seed);
+    for (char delim : {',', ';', '\t'}) {
+      CsvOptions options;
+      options.delimiter = delim;
+      ASSERT_EQ(WriteCsvString(table, options), PerCellCsv(table, delim))
+          << "seed " << seed << " delimiter " << int{delim};
+    }
+  }
 }
 
 }  // namespace

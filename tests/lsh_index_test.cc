@@ -192,7 +192,7 @@ TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
     std::vector<std::vector<ColumnLshProfile>> profiles;
     for (size_t t = 0; t < lake.num_tables(); ++t) {
       profiles.push_back(ComputeTableLshProfiles(
-          lake.tables()[t], *cache.GetOrBuild(t), options));
+          lake.tables()[t], *cache.GetOrBuild(lake.tables()[t]), options));
     }
     std::vector<std::pair<size_t, size_t>> want;
     for (size_t i = 0; i < profiles.size(); ++i) {

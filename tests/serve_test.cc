@@ -111,15 +111,11 @@ TEST(LakeServiceTest, PinnedSnapshotIsImmutableAcrossMutations) {
   ASSERT_TRUE(service->DropTable("customers").ok());
   ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 5)).ok());
 
-  // The pin still sees epoch 0 in full: the dropped table, its sketches and
-  // the old DRG — no use-after-evict, the snapshot owns its caches.
+  // The pin still sees epoch 0 in full: the dropped table and the old DRG.
   EXPECT_EQ(pinned->epoch, 0u);
   ASSERT_TRUE(pinned->lake.HasTable("customers"));
   EXPECT_FALSE(pinned->lake.HasTable("regions"));
-  LakeSketchCache::TableSketchesPin sketches =
-      pinned->sketch_cache->GetOrBuild(1);
-  EXPECT_EQ(sketches->size(),
-            (*pinned->lake.GetTable("customers"))->num_columns());
+  EXPECT_EQ((*pinned->lake.GetTable("customers"))->num_rows(), 3u);
   EXPECT_NE(pinned->drg.OrderedFingerprint(),
             service->snapshot()->drg.OrderedFingerprint());
 
@@ -127,25 +123,112 @@ TEST(LakeServiceTest, PinnedSnapshotIsImmutableAcrossMutations) {
   EXPECT_FALSE(service->snapshot()->lake.HasTable("customers"));
 }
 
-TEST(LakeServiceTest, UntouchedSketchEntriesCarryOverByPointer) {
+// Snapshots hold the writer's sketch cache read-only. These tests are the
+// service's only writer, so they may build through it to compare pins.
+LakeSketchCache& WriterSketches(const LakeService::SnapshotPin& snap) {
+  return const_cast<LakeSketchCache&>(*snap->sketch_cache);
+}
+
+TEST(LakeServiceTest, EverySnapshotSharesOneSketchCache) {
   std::unique_ptr<LakeService> service =
       MakeService(testsupport::MakeOrdersCustomersLake());
-  LakeService::SnapshotPin before = service->snapshot();
+  LakeService::SnapshotPin first = service->snapshot();
+  ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 0)).ok());
+  ASSERT_TRUE(service->DropTable("regions").ok());
+  EXPECT_EQ(service->snapshot()->sketch_cache.get(),
+            first->sketch_cache.get());
+}
+
+TEST(LakeServiceTest, AppendRebuildsOnlyTheTargetsSketches) {
+  obs::MetricsRegistry metrics;
+  Result<std::unique_ptr<LakeService>> created = LakeService::Create(
+      testsupport::MakeOrdersCustomersLake(), ServeOptions{}, &metrics);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  LakeService& service = **created;
+  LakeService::SnapshotPin before = service.snapshot();
+  const Table& orders = *before->lake.GetTable("orders").ValueOrDie();
   LakeSketchCache::TableSketchesPin orders_before =
-      before->sketch_cache->GetOrBuild(0);
+      WriterSketches(before).GetOrBuild(orders);
   LakeSketchCache::TableSketchesPin customers_before =
-      before->sketch_cache->GetOrBuild(1);
+      WriterSketches(before).GetOrBuild(
+          *before->lake.GetTable("customers").ValueOrDie());
+  const uint64_t builds = metrics.CounterValue("sketch_cache.builds");
 
   Table rows("customers");
   rows.AddColumn("cust", Column::Int64s({4})).Abort();
   rows.AddColumn("age", Column::Doubles({64})).Abort();
-  ASSERT_TRUE(service->AppendRows("customers", rows).ok());
+  ASSERT_TRUE(service.AppendRows("customers", rows).ok());
 
-  LakeService::SnapshotPin after = service->snapshot();
-  // Precise invalidation: the untouched table's entry is the *same object*
-  // (carried by pointer), the mutated table's entry was rebuilt.
-  EXPECT_EQ(after->sketch_cache->GetOrBuild(0).get(), orders_before.get());
-  EXPECT_NE(after->sketch_cache->GetOrBuild(1).get(), customers_before.get());
+  // Precise invalidation: the untouched table's entry is the *same object*;
+  // only the appended table's two columns were sketched again.
+  LakeService::SnapshotPin after = service.snapshot();
+  const Table& customers_after =
+      *after->lake.GetTable("customers").ValueOrDie();
+  EXPECT_EQ(WriterSketches(after).GetOrBuild(orders).get(),
+            orders_before.get());
+  LakeSketchCache::TableSketchesPin customers_rebuilt =
+      WriterSketches(after).GetOrBuild(customers_after);
+  EXPECT_NE(customers_rebuilt.get(), customers_before.get());
+  const std::vector<ColumnSketch> cold = SketchTable(
+      customers_after, ServeOptions{}.match.max_sample_values);
+  ASSERT_EQ(customers_rebuilt->size(), cold.size());
+  for (size_t c = 0; c < cold.size(); ++c) {
+    EXPECT_EQ((*customers_rebuilt)[c].hashes, cold[c].hashes);
+  }
+  EXPECT_EQ(metrics.CounterValue("sketch_cache.builds"), builds + 2);
+}
+
+TEST(LakeServiceTest, DropReturnsTheTablesSketchBytes) {
+  obs::MetricsRegistry metrics;
+  Result<std::unique_ptr<LakeService>> created = LakeService::Create(
+      testsupport::MakeOrdersCustomersLake(), ServeOptions{}, &metrics);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  LakeService& service = **created;
+  ASSERT_TRUE(service.AddTable(MakeCustSatellite("regions", 0)).ok());
+  LakeService::SnapshotPin with_regions = service.snapshot();
+  const size_t bytes_with = with_regions->sketch_cache->resident_bytes();
+  LakeSketchCache::TableSketchesPin regions = WriterSketches(with_regions)
+      .GetOrBuild(*with_regions->lake.GetTable("regions").ValueOrDie());
+  size_t regions_bytes = sizeof(std::vector<ColumnSketch>);
+  for (const ColumnSketch& sketch : *regions) {
+    regions_bytes += sketch.ApproxBytes();
+  }
+
+  ASSERT_TRUE(service.DropTable("regions").ok());
+  const LakeSketchCache& cache = *service.snapshot()->sketch_cache;
+  EXPECT_EQ(cache.num_resident(), 2u);
+  EXPECT_EQ(cache.resident_bytes(), bytes_with - regions_bytes);
+  EXPECT_EQ(metrics.GaugeValue("sketch_cache.bytes"),
+            static_cast<int64_t>(cache.resident_bytes()));
+  // The epoch that still has the table keeps reading sizes, and the dropped
+  // table's pin stays valid.
+  EXPECT_EQ(with_regions->sketch_cache->resident_bytes(),
+            cache.resident_bytes());
+  EXPECT_EQ(regions->size(), 2u);
+}
+
+TEST(LakeServiceTest, FailedMutationLeavesTheSketchCacheAlone) {
+  obs::MetricsRegistry metrics;
+  Result<std::unique_ptr<LakeService>> created = LakeService::Create(
+      testsupport::MakeOrdersCustomersLake(), ServeOptions{}, &metrics);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  LakeService& service = **created;
+  const LakeSketchCache& cache = *service.snapshot()->sketch_cache;
+  const size_t resident = cache.num_resident();
+  const size_t bytes = cache.resident_bytes();
+  const uint64_t builds = metrics.CounterValue("sketch_cache.builds");
+
+  Table dup("orders");
+  dup.AddColumn("cust", Column::Int64s({1})).Abort();
+  EXPECT_FALSE(service.AddTable(std::move(dup)).ok());
+  Table rows("orders");
+  rows.AddColumn("cust", Column::Int64s({7})).Abort();
+  EXPECT_FALSE(service.AppendRows("orders", rows).ok());
+  EXPECT_FALSE(service.DropTable("no_such_table").ok());
+
+  EXPECT_EQ(cache.num_resident(), resident);
+  EXPECT_EQ(cache.resident_bytes(), bytes);
+  EXPECT_EQ(metrics.CounterValue("sketch_cache.builds"), builds);
 }
 
 TEST(LakeServiceTest, IncrementalDrgMatchesColdRebuildAfterMutations) {
@@ -279,7 +362,7 @@ TEST(LakeServiceObsTest, EventLogRecordsQueriesMutationsAndLineage) {
   EXPECT_EQ(lineage[1].num_tables, 3u);
   // The add re-scored its own pairs; the orders/customers pair carried.
   EXPECT_GT(lineage[1].pairs_rescored, 0u);
-  EXPECT_GT(lineage[1].sketch_entries_carried, 0u);
+  EXPECT_GT(lineage[1].pairs_carried, 0u);
 
   std::string json = (*service)->LineageJson();
   EXPECT_TRUE(obs::JsonIsValid(json)) << json;
@@ -376,13 +459,13 @@ TEST(LakeServiceObsTest, CacheByteGaugesTrackTheLiveSnapshot) {
 
 TEST(LakeServiceObsTest, SketchCacheEvictAllIsLogged) {
   obs::EventLog events;
-  Result<std::unique_ptr<LakeService>> service = LakeService::Create(
-      testsupport::MakeOrdersCustomersLake(), ServeOptions{},
-      /*metrics=*/nullptr, /*tracer=*/nullptr, &events);
-  ASSERT_TRUE(service.ok()) << service.status().message();
-  const size_t before = events.size();
-  (*service)->snapshot()->sketch_cache->EvictAll();
-  EXPECT_EQ(events.size(), before + 2);  // one per table
+  const DataLake lake = testsupport::MakeOrdersCustomersLake();
+  LakeSketchCache cache(ServeOptions{}.match.max_sample_values);
+  cache.set_event_log(&events);
+  cache.PrewarmAll(lake);
+  EXPECT_EQ(events.size(), 0u);
+  cache.EvictAll();
+  EXPECT_EQ(events.size(), 2u);  // one per table
   const std::string log = events.Jsonl(false);
   for (const char* table : {"orders", "customers"}) {
     EXPECT_NE(log.find(std::string("\"type\": \"cache_evict\", \"cache\": "

@@ -108,27 +108,43 @@ std::vector<ColumnLshProfile> ComputeTableLshProfiles(
   return profiles;
 }
 
-bool LshProfilesCollide(const ColumnLshProfile& a,
-                        const ColumnLshProfile& b) {
-  if (!a.indexed || !b.indexed) return false;
-  // Sorted-list intersection over the bucket keys.
-  size_t i = 0, j = 0;
-  while (i < a.bucket_keys.size() && j < b.bucket_keys.size()) {
-    if (a.bucket_keys[i] == b.bucket_keys[j]) return true;
-    if (a.bucket_keys[i] < b.bucket_keys[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
+std::vector<uint64_t> TableBucketKeys(
+    const std::vector<ColumnLshProfile>& profiles) {
+  size_t total = 0;
+  for (const ColumnLshProfile& profile : profiles) {
+    total += profile.bucket_keys.size();
   }
-  return false;
+  std::vector<uint64_t> keys;
+  keys.reserve(total);
+  for (const ColumnLshProfile& profile : profiles) {
+    keys.insert(keys.end(), profile.bucket_keys.begin(),
+                profile.bucket_keys.end());
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
 }
 
-bool LshTablesCollide(const std::vector<ColumnLshProfile>& a,
-                      const std::vector<ColumnLshProfile>& b) {
-  for (const ColumnLshProfile& ca : a) {
-    for (const ColumnLshProfile& cb : b) {
-      if (LshProfilesCollide(ca, cb)) return true;
+BucketKeyProbe::BucketKeyProbe(std::vector<uint64_t> keys)
+    : keys_(std::move(keys)) {
+  // At least 128 filter bits per key: fewer than 1 in 128 keys of a table
+  // that shares none pays a binary search.
+  int log_bits = 6;
+  while ((size_t{1} << log_bits) < 128 * keys_.size()) ++log_bits;
+  shift_ = 64 - log_bits;
+  filter_.assign((size_t{1} << log_bits) / 64, 0);
+  for (uint64_t key : keys_) {
+    const uint64_t slot = key >> shift_;
+    filter_[slot >> 6] |= uint64_t{1} << (slot & 63);
+  }
+}
+
+bool BucketKeyProbe::Collides(const std::vector<uint64_t>& other) const {
+  for (uint64_t key : other) {
+    const uint64_t slot = key >> shift_;
+    if ((filter_[slot >> 6] >> (slot & 63) & 1) != 0 &&
+        std::binary_search(keys_.begin(), keys_.end(), key)) {
+      return true;
     }
   }
   return false;

@@ -26,9 +26,12 @@
 // One banding path: ComputeColumnLshProfile is the only code that derives
 // bucket keys. The cold index files every column's profile into buckets and
 // serves every whole-lake build (CandidateTablePairs in data_lake.h, batch
-// and the serving layer's epoch 0 alike); the serving layer's one-table
-// re-match intersects profiles pairwise. Both therefore make the same
-// candidate decisions by construction.
+// and the serving layer's epoch 0 alike). The serving layer's one-table
+// re-match collapses a table's profiles into one sorted key set
+// (TableBucketKeys) and tests it against every other table's set with a
+// BucketKeyProbe. Keys carry their band and type group in their derivation
+// stream, so two tables share a bucket exactly when their key sets
+// intersect: both paths make the same candidate decisions by construction.
 //
 // Determinism: every key is derived from the profile's stored hashes
 // (SketchValueHash: FNV-1a + the splitmix64 finaliser, never std::hash)
@@ -89,14 +92,12 @@ MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
 /// \brief One column's LSH state: the exact set of bucket keys
 /// LshCandidateIndex::Build files the column under.
 ///
-/// The serving layer builds its epoch-0 graph with the cold index, but a
-/// mutation cannot afford to rebuild the whole lake-wide index, and it must
-/// reproduce the index's candidate decisions exactly (the incremental DRG
-/// is gated byte-identical to a cold rebuild). Profiles make the bucket
-/// structure a pure per-column function: two columns collide in the cold
-/// index iff their profiles share a bucket key, so candidate generation for
-/// a touched table is a check of its profiles against every other table's
-/// cached profiles.
+/// Profiles make the bucket structure a pure per-column function: two
+/// columns collide in the cold index iff their profiles share a bucket key.
+/// The serving layer must reproduce the index's candidate decisions for one
+/// mutated table without rebuilding the lake-wide index (the incremental DRG
+/// is gated byte-identical to a cold rebuild), so it keeps each table's
+/// profiles collapsed into one key set (TableBucketKeys).
 struct ColumnLshProfile {
   /// Sorted bucket keys in one keyspace, separated by derivation stream:
   /// band b of type group g is DeriveSeed(band content, 2b + g); each
@@ -119,14 +120,32 @@ std::vector<ColumnLshProfile> ComputeTableLshProfiles(
     const Table& table, const std::vector<ColumnSketch>& sketches,
     const LshOptions& options);
 
-/// True iff the two columns would share a bucket in the cold index (sorted
-/// key intersection).
-bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b);
+/// The union of one table's column profiles: every bucket key any of its
+/// columns is filed under, sorted and deduplicated. Two tables share a
+/// bucket in the cold index iff their key sets intersect, because a key's
+/// derivation stream already separates bands and type groups.
+std::vector<uint64_t> TableBucketKeys(
+    const std::vector<ColumnLshProfile>& profiles);
 
-/// True iff any column pair across the two tables collides — i.e. the cold
-/// index would emit this table pair as a candidate.
-bool LshTablesCollide(const std::vector<ColumnLshProfile>& a,
-                      const std::vector<ColumnLshProfile>& b);
+/// \brief One table's key set, prepared for testing it against many others:
+/// a bit filter over the keys' high bits (they are DeriveSeed outputs, so
+/// uniformly mixed) at 128 to 256 bits per key. A probe is built once per
+/// re-match; each test is then one pass over the other table's keys, and
+/// only the few that hit the filter are confirmed in the sorted keys.
+class BucketKeyProbe {
+ public:
+  /// `keys`: a sorted, deduplicated key set (TableBucketKeys).
+  explicit BucketKeyProbe(std::vector<uint64_t> keys);
+
+  /// True iff the key set `other` shares a key with the probed one, i.e.
+  /// the cold index would emit the two tables as a candidate pair.
+  bool Collides(const std::vector<uint64_t>& other) const;
+
+ private:
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> filter_;
+  int shift_ = 0;
+};
 
 /// \brief Banded LSH index over every column of a lake, emitting candidate
 /// table pairs for exact DRG scoring.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -64,15 +65,20 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
   snap->sketch_cache = service->sketch_cache_;
   // Epoch 0 takes its pairs from the batch candidate generator; its counters
   // stay out of the service registry, which counts serving work only. The
-  // index's profiles seed the cache RematchTable reads, so no mutation
-  // re-profiles (and, under a budget, re-sketches) an untouched table.
-  std::vector<std::vector<ColumnLshProfile>> profiles;
-  const std::vector<std::pair<size_t, size_t>> pairs = CandidateTablePairs(
-      snap->lake, *service->sketch_cache_, service->options_.match,
-      service->pool_.get(), /*metrics=*/nullptr, &profiles);
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    service->profiles_.emplace(snap->lake.tables()[i].name(),
-                               std::move(profiles[i]));
+  // index's profiles, collapsed to one key set per table, seed the cache
+  // RematchTable reads, so no mutation re-profiles (and, under a budget,
+  // re-sketches) an untouched table.
+  std::vector<std::pair<size_t, size_t>> pairs;
+  {
+    std::vector<std::vector<ColumnLshProfile>> profiles;
+    pairs = CandidateTablePairs(snap->lake, *service->sketch_cache_,
+                                service->options_.match, service->pool_.get(),
+                                /*metrics=*/nullptr, &profiles);
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      service->bucket_keys_.emplace(snap->lake.tables()[i].name(),
+                                    TableBucketKeys(profiles[i]));
+      profiles[i].clear();  // hold one copy of the keys at a time
+    }
   }
   const size_t n = snap->lake.num_tables();
   const size_t skipped = (n > 1 ? n * (n - 1) / 2 : 0) - pairs.size();
@@ -100,15 +106,30 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
   return service;
 }
 
-const std::vector<ColumnLshProfile>& LakeService::ProfileFor(
-    const Table& table) {
-  auto it = profiles_.find(table.name());
-  if (it != profiles_.end()) return it->second;
+LakeService::~LakeService() {
+  std::lock_guard<std::mutex> writer(writer_mutex_);
+  ReclaimSnapshots();
+}
+
+const std::vector<uint64_t>& LakeService::BucketKeysFor(const Table& table) {
+  auto it = bucket_keys_.find(table.name());
+  if (it != bucket_keys_.end()) return it->second;
   LakeSketchCache::TableSketchesPin pin = sketch_cache_->GetOrBuild(table);
-  return profiles_
+  return bucket_keys_
       .emplace(table.name(),
-               ComputeTableLshProfiles(table, *pin, options_.match.lsh))
+               TableBucketKeys(ComputeTableLshProfiles(table, *pin,
+                                                       options_.match.lsh)))
       .first->second;
+}
+
+void LakeService::ReclaimSnapshots() {
+  if (retired_.empty()) return;
+  obs::ScopedSpan span(tracer_, "serve.reclaim");
+  retired_.erase(std::remove_if(retired_.begin(), retired_.end(),
+                                [](const SnapshotPin& snap) {
+                                  return snap.use_count() == 1;
+                                }),
+                 retired_.end());
 }
 
 void LakeService::StorePairScores(
@@ -141,18 +162,15 @@ Status LakeService::RematchTable(const LakeSnapshot& snap,
     return Status::KeyError("re-match target not in lake: " + target);
   }
 
-  // One table against all: the pairwise form of the cold index's collision
-  // test, over profiles cached across mutations. `tprof` stays valid across
-  // later ProfileFor insertions — unordered_map references survive
-  // rehashing.
+  // One table against all: the cold index's collision test as one pass
+  // over each other table's cached key set.
   const bool lsh = UsesLshCandidates(options_.match);
-  const std::vector<ColumnLshProfile>* tprof =
-      lsh ? &ProfileFor(tables[target_idx]) : nullptr;
+  std::optional<BucketKeyProbe> probe;
+  if (lsh) probe.emplace(BucketKeysFor(tables[target_idx]));
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t u = 0; u < n; ++u) {
     if (u == target_idx) continue;
-    if (lsh &&
-        !LshTablesCollide(*tprof, ProfileFor(tables[u]))) {
+    if (lsh && !probe->Collides(BucketKeysFor(tables[u]))) {
       obs::Increment(pairs_skipped_);
       ++lineage->pairs_skipped;
       continue;
@@ -171,6 +189,7 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
   const uint64_t mutation_id = ++next_mutation_id_;
   const char* kind_name = MutationKindName(mutation.kind);
   obs::ScopedSpan span(tracer_, "serve.mutation");
+  ReclaimSnapshots();
   SnapshotPin prev = snapshot();
   auto next = std::make_shared<LakeSnapshot>();
   next->epoch = prev->epoch + 1;
@@ -208,7 +227,7 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
   // Incremental DRG maintenance: drop the target's pairs, re-score only
   // pairs touching it, rebuild the graph canonically (see drg_delta.h).
   match_store_.PurgeTable(target);
-  profiles_.erase(target);
+  bucket_keys_.erase(target);
   lineage.pairs_carried = match_store_.num_pairs();
   if (mutation.kind != LakeMutation::Kind::kDropTable) {
     obs::ScopedSpan rematch_span(tracer_, "serve.rematch");
@@ -239,6 +258,8 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
     current_ = std::move(next);
   }
+  retired_.push_back(std::move(prev));
+  ReclaimSnapshots();
   const uint64_t latency_ns = ElapsedNs(start);
   obs::Record(mutation_latency_, latency_ns);
   obs::Append(event_log_, "mutation_apply",
@@ -413,7 +434,7 @@ void LakeService::RecordLineage(EpochLineage record) {
 
 std::vector<EpochLineage> LakeService::Lineage() const {
   std::lock_guard<std::mutex> lock(lineage_mutex_);
-  return lineage_;
+  return {lineage_.begin(), lineage_.end()};
 }
 
 std::string LakeService::LineageJson() const {

@@ -5,8 +5,8 @@
 //
 //  * a mutation API — AddTable / AppendRows / DropTable — performing
 //    *incremental* DRG maintenance (only pairs touching the mutated table
-//    are re-scored; candidate generation for the touched table runs the
-//    pairwise LSH collision predicate against cached per-table profiles
+//    are re-scored; candidate generation for the touched table tests its
+//    LSH bucket-key set in one pass against every other table's cached set
 //    instead of rebuilding the lake-wide index) and *precise* cache
 //    invalidation (only the touched table's entries rebuild: the one
 //    service-lifetime sketch cache erases them in place, and each epoch's
@@ -21,9 +21,11 @@
 // copy-on-write table storage makes the per-mutation snapshot copy
 // O(tables) pointer copies. A mutation builds the next snapshot off
 // the current one under the writer mutex (mutations serialise; queries do
-// not), then swaps the published pointer. Old snapshots stay alive until
-// their last reader drops the pin — there is no use-after-evict by
-// construction.
+// not), then swaps the published pointer. The writer keeps every snapshot
+// it supersedes and frees one only once no reader pins it, at the start
+// and end of each mutation and at shutdown: a snapshot stays alive while
+// any reader holds it (there is no use-after-evict by construction), and
+// no query thread ever pays to free one.
 //
 // Equivalence contract: after any mutation sequence the published DRG is
 // byte-identical — node order, edge order, weights — to a cold
@@ -36,6 +38,7 @@
 #define AUTOFEAT_SERVE_LAKE_SERVICE_H_
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,8 +67,8 @@ namespace autofeat::serve {
 /// queries run.
 struct ServeOptions {
   /// Schema-matcher options for DRG discovery (candidate_mode kLsh enables
-  /// the incremental LSH profile path; kAllPairs re-scores the touched
-  /// table against every other table).
+  /// the incremental bucket-key test; kAllPairs re-scores the touched table
+  /// against every other table).
   MatchOptions match;
   /// Per-query engine configuration. num_threads also sizes the service's
   /// maintenance pool (sketching + pair re-scoring fan out over it);
@@ -93,7 +96,7 @@ struct EpochLineage {
   size_t num_tables = 0;
   size_t drg_edges = 0;
   /// Candidate pairs actually re-scored for this epoch vs pairs skipped by
-  /// the LSH collision predicate vs scored pairs carried from the previous
+  /// the LSH bucket-key test vs scored pairs carried from the previous
   /// epoch's match store untouched.
   size_t pairs_rescored = 0;
   size_t pairs_skipped = 0;
@@ -153,12 +156,17 @@ class LakeService {
       obs::MetricsRegistry* metrics = nullptr, obs::Tracer* tracer = nullptr,
       obs::EventLog* event_log = nullptr);
 
+  /// Frees every retired snapshot no reader pins; the rest die with their
+  /// last reader's pin.
+  ~LakeService();
+
   // -- Mutations (serialised; each returns the new epoch) -----------------
 
   /// Applies one mutation: lake update, sketch invalidation, incremental
   /// re-match of the touched table (span `serve.rematch`), canonical DRG
   /// rebuild (`serve.drg_rebuild`), join-cache carry-over
-  /// (`serve.join_carry`), snapshot publish. A failed mutation (duplicate
+  /// (`serve.join_carry`), snapshot publish, and freeing the superseded
+  /// snapshots no reader pins (`serve.reclaim`). A failed mutation (duplicate
   /// add, schema-mismatched append, missing drop target) changes nothing
   /// and leaves the current epoch in place.
   Result<uint64_t> Apply(const LakeMutation& mutation);
@@ -206,10 +214,14 @@ class LakeService {
   LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
               obs::Tracer* tracer, obs::EventLog* event_log);
 
-  /// The cached LSH profile of `table`, computing and memoising it on
-  /// first use. Create seeds the cache with the candidate index's profiles,
-  /// so only added or mutated tables are profiled here.
-  const std::vector<ColumnLshProfile>& ProfileFor(const Table& table);
+  /// The cached bucket-key set (TableBucketKeys) of `table`, computing and
+  /// memoising it on first use. Create seeds the cache from the candidate
+  /// index's profiles, so only added or mutated tables are profiled here.
+  const std::vector<uint64_t>& BucketKeysFor(const Table& table);
+
+  /// Frees the retired snapshots no reader pins (span `serve.reclaim`).
+  /// Writer mutex held.
+  void ReclaimSnapshots();
 
   /// Re-scores every candidate pair touching `target` (present in
   /// snap->lake), updates the match store and adds the pairs rescored and
@@ -259,22 +271,30 @@ class LakeService {
   std::unique_ptr<ThreadPool> pool_;
 
   /// Per-epoch provenance, publish order (guarded by lineage_mutex_ so
-  /// readers never contend with the writer path beyond this vector).
+  /// readers never contend with the writer path beyond this list). A deque
+  /// grows by fixed blocks: no doubled capacity and no whole-history copy
+  /// when it grows.
   mutable std::mutex lineage_mutex_;
-  std::vector<EpochLineage> lineage_;
+  std::deque<EpochLineage> lineage_;
 
   // Writer-side state (guarded by writer_mutex_): the canonical match
-  // store the DRG is rebuilt from, the per-table LSH profiles and the
+  // store the DRG is rebuilt from, each table's LSH bucket-key set, and the
   // sketch cache both come from (snapshots share it read-only).
   std::mutex writer_mutex_;
   DrgMatchStore match_store_;
-  std::unordered_map<std::string, std::vector<ColumnLshProfile>> profiles_;
+  std::unordered_map<std::string, std::vector<uint64_t>> bucket_keys_;
   std::shared_ptr<LakeSketchCache> sketch_cache_;
 
   // The published snapshot (guarded by snapshot_mutex_ for the pointer
   // swap only; the pointee is immutable).
   mutable std::mutex snapshot_mutex_;
   SnapshotPin current_;
+  /// Superseded snapshots a reader may still pin (guarded by
+  /// writer_mutex_). Apply retires the snapshot it replaces here, so the
+  /// last reference to any snapshot is the writer's. Readers pin only
+  /// through current_, so a retired snapshot whose count is 1 can never be
+  /// pinned again.
+  std::vector<SnapshotPin> retired_;
 };
 
 }  // namespace autofeat::serve

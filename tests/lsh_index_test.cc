@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -169,11 +171,21 @@ TEST(LshCandidateIndexTest, ThreadCountIndependent) {
             parallel.num_bucket_collisions());
 }
 
-TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
+// Whether two sorted key sets intersect, by plain merge: the definition
+// the probe's filter must agree with.
+bool KeySetsIntersect(const std::vector<uint64_t>& a,
+                      const std::vector<uint64_t>& b) {
+  std::vector<uint64_t> common;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(common));
+  return !common.empty();
+}
+
+TEST(LshCandidateIndexTest, BuildEqualsTableKeySetCollisions) {
   // One banding path: the cold index files the same profiles the serving
-  // layer intersects pairwise, so its candidates must be exactly the table
-  // pairs LshTablesCollide accepts, with and without the small-column
-  // rescue.
+  // layer collapses into one key set per table, so its candidates must be
+  // exactly the table pairs whose key sets intersect, with and without the
+  // small-column rescue, and BucketKeyProbe must find exactly those.
   datagen::ScaleLakeSpec spec;
   spec.num_tables = 20;
   spec.rows = 48;  // key and feature columns under the default rescue
@@ -189,17 +201,23 @@ TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
   variants[1].small_column_rescue = 0;
   for (size_t v = 0; v < variants.size(); ++v) {
     const LshOptions& options = variants[v];
-    std::vector<std::vector<ColumnLshProfile>> profiles;
+    std::vector<std::vector<uint64_t>> keys;
     for (size_t t = 0; t < lake.num_tables(); ++t) {
-      profiles.push_back(ComputeTableLshProfiles(
-          lake.tables()[t], *cache.GetOrBuild(lake.tables()[t]), options));
+      keys.push_back(TableBucketKeys(ComputeTableLshProfiles(
+          lake.tables()[t], *cache.GetOrBuild(lake.tables()[t]), options)));
+      ASSERT_TRUE(std::is_sorted(keys.back().begin(), keys.back().end()));
+      ASSERT_EQ(std::adjacent_find(keys.back().begin(), keys.back().end()),
+                keys.back().end());
     }
     std::vector<std::pair<size_t, size_t>> want;
-    for (size_t i = 0; i < profiles.size(); ++i) {
-      for (size_t j = i + 1; j < profiles.size(); ++j) {
-        if (LshTablesCollide(profiles[i], profiles[j])) {
-          want.emplace_back(i, j);
-        }
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const BucketKeyProbe probe(keys[i]);
+      for (size_t j = 0; j < keys.size(); ++j) {
+        if (j == i) continue;
+        const bool collide = KeySetsIntersect(keys[i], keys[j]);
+        EXPECT_EQ(probe.Collides(keys[j]), collide)
+            << "variant " << v << " pair " << i << "," << j;
+        if (collide && i < j) want.emplace_back(i, j);
       }
     }
     EXPECT_FALSE(want.empty()) << "variant " << v;
@@ -208,6 +226,57 @@ TEST(LshCandidateIndexTest, BuildEqualsPairwiseProfileCollisions) {
               want)
         << "variant " << v;
   }
+}
+
+TEST(LshCandidateIndexTest, KeySetsCollideThroughDifferentColumns) {
+  // The shared bucket comes from column 0 of one table and column 1 of the
+  // other, under different names: the per-table union must still see it.
+  DataLake lake;
+  Table left("left");
+  Column ids(DataType::kInt64), noise(DataType::kDouble);
+  for (int64_t v = 0; v < 40; ++v) {
+    ids.AppendInt64(v);
+    noise.AppendDouble(0.5 * static_cast<double>(v));
+  }
+  ASSERT_TRUE(left.AddColumn("id", std::move(ids)).ok());
+  ASSERT_TRUE(left.AddColumn("weight", std::move(noise)).ok());
+  Table right("right");
+  Column labels = Column::Strings({"a", "b", "c"});
+  Column refs(DataType::kInt64);
+  for (int64_t v : {3, 7, 11}) refs.AppendInt64(v);
+  ASSERT_TRUE(right.AddColumn("tag", std::move(labels)).ok());
+  ASSERT_TRUE(right.AddColumn("left_ref", std::move(refs)).ok());
+  ASSERT_TRUE(lake.AddTable(std::move(left)).ok());
+  ASSERT_TRUE(lake.AddTable(std::move(right)).ok());
+  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
+
+  std::vector<std::vector<ColumnLshProfile>> profiles;
+  for (const Table& table : lake.tables()) {
+    profiles.push_back(ComputeTableLshProfiles(
+        table, *cache.GetOrBuild(table), LshOptions{}));
+  }
+  // Same-position columns share nothing; the cross pair does.
+  EXPECT_FALSE(KeySetsIntersect(profiles[0][0].bucket_keys,
+                                profiles[1][0].bucket_keys));
+  EXPECT_FALSE(KeySetsIntersect(profiles[0][1].bucket_keys,
+                                profiles[1][1].bucket_keys));
+  EXPECT_TRUE(KeySetsIntersect(profiles[0][0].bucket_keys,
+                               profiles[1][1].bucket_keys));
+  const std::vector<uint64_t> left_keys = TableBucketKeys(profiles[0]);
+  const std::vector<uint64_t> right_keys = TableBucketKeys(profiles[1]);
+  EXPECT_TRUE(BucketKeyProbe(left_keys).Collides(right_keys));
+  EXPECT_TRUE(BucketKeyProbe(right_keys).Collides(left_keys));
+  const std::vector<std::pair<size_t, size_t>> want = {{0, 1}};
+  EXPECT_EQ(LshCandidateIndex::Build(lake, cache, LshOptions{})
+                .candidate_table_pairs(),
+            want);
+}
+
+TEST(LshCandidateIndexTest, EmptyKeySetCollidesWithNothing) {
+  const std::vector<uint64_t> keys = {1, 2, 3};
+  EXPECT_FALSE(BucketKeyProbe(std::vector<uint64_t>{}).Collides(keys));
+  EXPECT_FALSE(BucketKeyProbe(keys).Collides({}));
+  EXPECT_TRUE(BucketKeyProbe(keys).Collides({3}));
 }
 
 TEST(LshCandidateIndexTest, RecordsCountersAndByteGauges) {

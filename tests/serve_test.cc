@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -121,6 +122,55 @@ TEST(LakeServiceTest, PinnedSnapshotIsImmutableAcrossMutations) {
 
   EXPECT_EQ(service->epoch(), 2u);
   EXPECT_FALSE(service->snapshot()->lake.HasTable("customers"));
+}
+
+TEST(LakeServiceTest, ReadersNeverFreeASupersededSnapshot) {
+  // A reader pins epoch 0 and drops the pin only after a mutation has
+  // superseded it. The writer keeps the retired snapshot, so the reader's
+  // drop is never the last; the next mutation frees it.
+  std::unique_ptr<LakeService> service =
+      MakeService(testsupport::MakeOrdersCustomersLake());
+  std::weak_ptr<const LakeSnapshot> watched;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool pinned = false;
+  bool mutated = false;
+  std::thread reader([&] {
+    LakeService::SnapshotPin pin = service->snapshot();
+    std::unique_lock<std::mutex> lock(mu);
+    watched = pin;
+    pinned = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return mutated; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return pinned; });
+  }
+  ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 0)).ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    mutated = true;
+  }
+  cv.notify_all();
+  reader.join();
+
+  ASSERT_FALSE(watched.expired());
+  EXPECT_EQ(watched.lock()->epoch, 0u);
+  ASSERT_TRUE(service->DropTable("regions").ok());
+  EXPECT_TRUE(watched.expired());
+}
+
+TEST(LakeServiceTest, ShutdownFreesRetiredSnapshots) {
+  std::unique_ptr<LakeService> service =
+      MakeService(testsupport::MakeOrdersCustomersLake());
+  LakeService::SnapshotPin pin = service->snapshot();
+  std::weak_ptr<const LakeSnapshot> watched = pin;
+  ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 0)).ok());
+  pin.reset();
+  ASSERT_FALSE(watched.expired());  // retired, waiting for the writer
+  service.reset();
+  EXPECT_TRUE(watched.expired());
 }
 
 // Snapshots hold the writer's sketch cache read-only. These tests are the
@@ -435,8 +485,9 @@ TEST(LakeServiceObsTest, QueryDigestIsInvariantAcrossThreadCounts) {
 
 TEST(LakeServiceObsTest, CacheByteGaugesTrackTheLiveSnapshot) {
   // Every mutation publishes new caches that carry the untouched entries;
-  // the retired snapshot's caches return their bytes when they die. With no
-  // old snapshot pinned, the gauges read exactly the current caches.
+  // the retired snapshot's caches return their bytes when the writer frees
+  // it, which with no reader pinning it is before the mutation returns. So
+  // the gauges read exactly the current caches.
   obs::MetricsRegistry metrics;
   Result<std::unique_ptr<LakeService>> service = LakeService::Create(
       testsupport::MakeOrdersCustomersLake(), ServeOptions{}, &metrics);

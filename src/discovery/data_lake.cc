@@ -207,10 +207,8 @@ std::vector<std::pair<size_t, size_t>> AllTablePairs(size_t n) {
   return pairs;
 }
 
-// Folds `matches[p]`, the scored matches of `pairs[p]` (ascending (i, j)
-// table-index pairs — the full upper triangle or an LSH candidate subset of
-// it), into a DRG sequentially in pair order, so edge insertion order (and
-// thus the graph) is independent of the thread count that scored them.
+}  // namespace
+
 Result<DatasetRelationGraph> FoldPairMatches(
     const DataLake& lake, const std::vector<std::pair<size_t, size_t>>& pairs,
     const std::vector<std::vector<ColumnMatch>>& matches,
@@ -233,8 +231,6 @@ Result<DatasetRelationGraph> FoldPairMatches(
   }
   return drg;
 }
-
-}  // namespace
 
 bool UsesLshCandidates(const MatchOptions& options) {
   return options.candidate_mode == CandidateMode::kLsh &&

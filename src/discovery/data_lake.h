@@ -232,6 +232,19 @@ std::vector<std::vector<ColumnMatch>> ScoreTablePairs(
     const std::vector<std::pair<size_t, size_t>>& pairs,
     const MatchOptions& options, ThreadPool* pool = nullptr);
 
+/// The one whole-lake fold of scored pairs into a discovered DRG: a node per
+/// table in lake order, then for each (i, j) of `pairs` (ascending lake
+/// positions, i < j — the full upper triangle or a candidate subset of it)
+/// the edges of `matches[p]` (oriented table i -> table j) in match order.
+/// The fold is sequential, so the graph is independent of the thread count
+/// that scored the pairs; DatasetRelationGraph's discovered-graph edits
+/// keep this shape. A non-null `metrics` counts `drg.pairs_scored`,
+/// `drg.pairs_matched` and `drg.edges_added`.
+Result<DatasetRelationGraph> FoldPairMatches(
+    const DataLake& lake, const std::vector<std::pair<size_t, size_t>>& pairs,
+    const std::vector<std::vector<ColumnMatch>>& matches,
+    obs::MetricsRegistry* metrics = nullptr);
+
 /// Generic DRG construction with a pluggable matcher — "DRG construction is
 /// independent of the dataset discovery algorithm" (§IV). The matcher maps
 /// two tables to scored column pairs; every reported match becomes an edge.

@@ -17,7 +17,7 @@
 
 #include "discovery/lsh_index.h"
 #include "discovery/sketch_cache.h"
-#include "graph/drg_delta.h"
+#include "graph/drg.h"
 #include "table/table.h"
 
 namespace autofeat {

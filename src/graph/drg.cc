@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <sstream>
 #include <unordered_set>
 
@@ -56,6 +57,86 @@ Status DatasetRelationGraph::AddEdge(const std::string& from_dataset,
   incidence_[a].push_back(idx);
   incidence_[b].push_back(idx);
   return Status::OK();
+}
+
+void DatasetRelationGraph::RemoveNode(size_t id) {
+  node_index_.erase(node_names_[id]);
+  node_names_.erase(node_names_.begin() + static_cast<std::ptrdiff_t>(id));
+  for (auto& [name, index] : node_index_) {
+    if (index > id) --index;
+  }
+  edges_.erase(std::remove_if(edges_.begin(), edges_.end(),
+                              [id](const EdgeRecord& e) {
+                                return e.a == id || e.b == id;
+                              }),
+               edges_.end());
+  // Relabelling is monotone, so the list stays ascending by (a, b).
+  for (EdgeRecord& e : edges_) {
+    if (e.a > id) --e.a;
+    if (e.b > id) --e.b;
+  }
+  RebuildIncidence();
+}
+
+Status DatasetRelationGraph::ReplaceNodeEdges(
+    size_t node, const std::vector<std::pair<size_t, size_t>>& pairs,
+    const std::vector<std::vector<ColumnMatch>>& matches) {
+  if (pairs.size() != matches.size()) {
+    return Status::InvalidArgument("one match list per table pair expected");
+  }
+  std::vector<EdgeRecord> added;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const auto& [i, j] = pairs[p];
+    if (i >= j || j >= num_nodes() || (i != node && j != node) ||
+        (p > 0 && pairs[p - 1] >= pairs[p])) {
+      return Status::InvalidArgument(
+          "edge edit pairs must ascend with i < j and touch the node");
+    }
+    // AddEdge's de-duplication within the pair: first position, max weight.
+    const size_t first = added.size();
+    for (const ColumnMatch& m : matches[p]) {
+      auto same = std::find_if(
+          added.begin() + static_cast<std::ptrdiff_t>(first), added.end(),
+          [&](const EdgeRecord& e) {
+            return e.a_column == m.left_column && e.b_column == m.right_column;
+          });
+      if (same != added.end()) {
+        same->weight = std::max(same->weight, m.score);
+      } else {
+        added.push_back(EdgeRecord{i, j, m.left_column, m.right_column,
+                                   m.score});
+      }
+    }
+  }
+  edges_.erase(std::remove_if(edges_.begin(), edges_.end(),
+                              [node](const EdgeRecord& e) {
+                                return e.a == node || e.b == node;
+                              }),
+               edges_.end());
+  // No kept edge shares a pair with an added one, so the merge by (a, b)
+  // is the fold order.
+  std::vector<EdgeRecord> merged;
+  merged.reserve(edges_.size() + added.size());
+  std::merge(std::make_move_iterator(edges_.begin()),
+             std::make_move_iterator(edges_.end()),
+             std::make_move_iterator(added.begin()),
+             std::make_move_iterator(added.end()), std::back_inserter(merged),
+             [](const EdgeRecord& x, const EdgeRecord& y) {
+               return x.a != y.a ? x.a < y.a : x.b < y.b;
+             });
+  edges_ = std::move(merged);
+  RebuildIncidence();
+  return Status::OK();
+}
+
+void DatasetRelationGraph::RebuildIncidence() {
+  // Clearing in place keeps each list's capacity across edits.
+  incidence_.resize(node_names_.size());
+  for (std::vector<size_t>& list : incidence_) list.clear();
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    incidence_[edges_[e].a].push_back(e);
+    incidence_[edges_[e].b].push_back(e);
+  }
 }
 
 std::vector<size_t> DatasetRelationGraph::Neighbors(size_t node) const {

@@ -9,6 +9,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/join_path.h"
@@ -16,13 +17,24 @@
 
 namespace autofeat {
 
+/// \brief A discovered join opportunity: one scored column pair between two
+/// tables. Schema matchers (discovery layer) produce it and the discovered
+/// DRG folds it into edges; it lives here so graph does not depend on
+/// discovery.
+struct ColumnMatch {
+  std::string left_column;
+  std::string right_column;
+  double score = 0.0;
+};
+
 /// \brief One edge instance as stored: node ids plus the join columns.
 ///
-/// Exposed (in insertion order) so that callers can compare two graphs
+/// Exposed (in edge-list order) so that callers can compare two graphs
 /// *exactly* — including edge order, which is observable through
 /// Neighbors/EnumeratePaths BFS ordering and hence through discovery
-/// tie-breaks. The serving layer's incremental-vs-cold equivalence gates
-/// are built on this.
+/// tie-breaks. AddEdge appends to the list; the discovered-graph edits
+/// (RemoveNode, ReplaceNodeEdges) keep it in the cold fold's order. The
+/// serving layer's incremental-vs-cold equivalence gates are built on this.
 struct DrgEdge {
   size_t a = 0;
   size_t b = 0;
@@ -54,8 +66,29 @@ class DatasetRelationGraph {
                  const std::string& to_dataset, const std::string& to_column,
                  double weight);
 
+  // -- Discovered-graph edits ---------------------------------------------
+  //
+  // A discovered graph (FoldPairMatches in discovery/data_lake.h) has its
+  // nodes in lake order and every edge oriented a < b, the list ascending
+  // by (a, b) and each pair's edges in match order. The two edits below
+  // keep that shape, so an edited graph is byte-identical to a cold fold
+  // over the edited lake. They are for discovered graphs only: a KFK graph
+  // keeps its constraints' order and orientation, which they would not.
+
+  /// Drops node `id` and every edge touching it. Later ids shift down by
+  /// one, as DataLake::RemoveTable shifts lake positions.
+  void RemoveNode(size_t id);
+
+  /// Replaces the edges of `node`: drops them, then merges in the edges of
+  /// `matches[p]` for each table pair `pairs[p]` = (i, j), i < j, one of
+  /// them `node`, matches oriented i -> j — exactly what FoldPairMatches
+  /// would add for those pairs. `pairs` must ascend.
+  Status ReplaceNodeEdges(size_t node,
+                          const std::vector<std::pair<size_t, size_t>>& pairs,
+                          const std::vector<std::vector<ColumnMatch>>& matches);
+
   /// Distinct neighbour nodes of `node` (each listed once even if connected
-  /// by several multi-edges), in insertion order.
+  /// by several multi-edges), in edge-list order.
   std::vector<size_t> Neighbors(size_t node) const;
 
   /// All edge instances between `a` and `b`, oriented a -> b.
@@ -86,11 +119,11 @@ class DatasetRelationGraph {
   /// datasets the discovery step found no join for.
   std::vector<size_t> UnreachableFrom(size_t start) const;
 
-  /// Every edge instance, in insertion order.
+  /// Every edge instance, in edge-list order.
   std::vector<DrgEdge> AllEdges() const;
 
   /// An order-sensitive FNV-1a fingerprint of the node list and edge list
-  /// (names, columns, weights, insertion order). Two graphs with equal
+  /// (names, columns, weights, edge-list order). Two graphs with equal
   /// fingerprints behave identically in every traversal above.
   std::string OrderedFingerprint() const;
 
@@ -102,6 +135,9 @@ class DatasetRelationGraph {
     std::string b_column;
     double weight;
   };
+
+  /// Rebuilds incidence_ from edges_ in one pass.
+  void RebuildIncidence();
 
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, size_t> node_index_;

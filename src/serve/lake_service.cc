@@ -20,6 +20,13 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+// The table pairs with at least one match, i.e. with a DRG edge.
+size_t CountMatched(const std::vector<std::vector<ColumnMatch>>& matches) {
+  return static_cast<size_t>(
+      std::count_if(matches.begin(), matches.end(),
+                    [](const auto& m) { return !m.empty(); }));
+}
+
 }  // namespace
 
 LakeService::LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
@@ -74,18 +81,19 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
     pairs = CandidateTablePairs(snap->lake, *service->sketch_cache_,
                                 service->options_.match, service->pool_.get(),
                                 /*metrics=*/nullptr, &profiles);
-    for (size_t i = 0; i < profiles.size(); ++i) {
-      service->bucket_keys_.emplace(snap->lake.tables()[i].name(),
-                                    TableBucketKeys(profiles[i]));
-      profiles[i].clear();  // hold one copy of the keys at a time
+    service->bucket_keys_.reserve(profiles.size());
+    for (std::vector<ColumnLshProfile>& table_profiles : profiles) {
+      service->bucket_keys_.push_back(TableBucketKeys(table_profiles));
+      table_profiles.clear();  // hold one copy of the keys at a time
     }
   }
   const size_t n = snap->lake.num_tables();
   const size_t skipped = (n > 1 ? n * (n - 1) / 2 : 0) - pairs.size();
   obs::Increment(service->pairs_skipped_, skipped);
-  service->StorePairScores(*snap, pairs);
-  AF_ASSIGN_OR_RETURN(snap->drg,
-                      service->match_store_.BuildGraph(snap->lake.TableNames()));
+  const std::vector<std::vector<ColumnMatch>> matches =
+      service->ScorePairs(snap->lake, pairs);
+  service->matched_pairs_ = CountMatched(matches);
+  AF_ASSIGN_OR_RETURN(snap->drg, FoldPairMatches(snap->lake, pairs, matches));
   snap->join_cache = std::make_shared<JoinIndexCache>(
       &snap->lake, service->options_.config.seed, metrics, tracer,
       service->options_.config.memory_budget_bytes);
@@ -111,17 +119,6 @@ LakeService::~LakeService() {
   ReclaimSnapshots();
 }
 
-const std::vector<uint64_t>& LakeService::BucketKeysFor(const Table& table) {
-  auto it = bucket_keys_.find(table.name());
-  if (it != bucket_keys_.end()) return it->second;
-  LakeSketchCache::TableSketchesPin pin = sketch_cache_->GetOrBuild(table);
-  return bucket_keys_
-      .emplace(table.name(),
-               TableBucketKeys(ComputeTableLshProfiles(table, *pin,
-                                                       options_.match.lsh)))
-      .first->second;
-}
-
 void LakeService::ReclaimSnapshots() {
   if (retired_.empty()) return;
   obs::ScopedSpan span(tracer_, "serve.reclaim");
@@ -132,55 +129,47 @@ void LakeService::ReclaimSnapshots() {
                  retired_.end());
 }
 
-void LakeService::StorePairScores(
-    const LakeSnapshot& snap,
+std::vector<std::vector<ColumnMatch>> LakeService::ScorePairs(
+    const DataLake& lake,
     const std::vector<std::pair<size_t, size_t>>& pairs) {
-  std::vector<std::vector<ColumnMatch>> matches = ScoreTablePairs(
-      snap.lake, *sketch_cache_, pairs, options_.match, pool_.get());
-  const auto tables = snap.lake.tables();
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [i, j] = pairs[p];
-    match_store_.SetMatches(tables[i].name(), tables[j].name(),
-                            std::move(matches[p]));
-  }
   obs::Increment(pairs_rescored_, pairs.size());
+  return ScoreTablePairs(lake, *sketch_cache_, pairs, options_.match,
+                         pool_.get());
 }
 
-Status LakeService::RematchTable(const LakeSnapshot& snap,
-                                 const std::string& target,
-                                 EpochLineage* lineage) {
-  const auto tables = snap.lake.tables();
+std::vector<std::vector<ColumnMatch>> LakeService::RematchTable(
+    const DataLake& lake, size_t target, EpochLineage* lineage,
+    std::vector<std::pair<size_t, size_t>>* pairs) {
+  const auto tables = lake.tables();
   const size_t n = tables.size();
-  size_t target_idx = n;
-  for (size_t i = 0; i < n; ++i) {
-    if (tables[i].name() == target) {
-      target_idx = i;
-      break;
-    }
-  }
-  if (target_idx == n) {
-    return Status::KeyError("re-match target not in lake: " + target);
-  }
-
   // One table against all: the cold index's collision test as one pass
   // over each other table's cached key set.
   const bool lsh = UsesLshCandidates(options_.match);
   std::optional<BucketKeyProbe> probe;
-  if (lsh) probe.emplace(BucketKeysFor(tables[target_idx]));
-  std::vector<std::pair<size_t, size_t>> pairs;
+  if (lsh) {
+    LakeSketchCache::TableSketchesPin pin =
+        sketch_cache_->GetOrBuild(tables[target]);
+    std::vector<uint64_t> keys = TableBucketKeys(
+        ComputeTableLshProfiles(tables[target], *pin, options_.match.lsh));
+    if (target == bucket_keys_.size()) {
+      bucket_keys_.push_back(std::move(keys));
+    } else {
+      bucket_keys_[target] = std::move(keys);
+    }
+    probe.emplace(bucket_keys_[target]);
+  }
   for (size_t u = 0; u < n; ++u) {
-    if (u == target_idx) continue;
-    if (lsh && !probe->Collides(BucketKeysFor(tables[u]))) {
+    if (u == target) continue;
+    if (lsh && !probe->Collides(bucket_keys_[u])) {
       obs::Increment(pairs_skipped_);
       ++lineage->pairs_skipped;
       continue;
     }
-    pairs.emplace_back(std::min(u, target_idx), std::max(u, target_idx));
+    pairs->emplace_back(std::min(u, target), std::max(u, target));
   }
-  StorePairScores(snap, pairs);
-  lineage->pairs_rescored += pairs.size();
+  lineage->pairs_rescored += pairs->size();
   obs::Increment(tables_rematched_);
-  return Status::OK();
+  return ScorePairs(lake, *pairs);
 }
 
 Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
@@ -224,20 +213,41 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
   }
   next->sketch_cache = sketch_cache_;
 
-  // Incremental DRG maintenance: drop the target's pairs, re-score only
-  // pairs touching it, rebuild the graph canonically (see drg_delta.h).
-  match_store_.PurgeTable(target);
-  bucket_keys_.erase(target);
-  lineage.pairs_carried = match_store_.num_pairs();
-  if (mutation.kind != LakeMutation::Kind::kDropTable) {
+  // Incremental DRG maintenance on a copy of the previous graph, whose
+  // nodes are in lake order: the target's node is removed, appended or
+  // kept, and the matches of the pairs RematchTable re-scores replace its
+  // edges (see DatasetRelationGraph's discovered-graph edits).
+  const bool add = mutation.kind == LakeMutation::Kind::kAddTable;
+  const bool drop = mutation.kind == LakeMutation::Kind::kDropTable;
+  size_t node = prev->lake.num_tables();  // where an added table lands
+  if (!add) {
+    AF_ASSIGN_OR_RETURN(node, prev->drg.NodeId(target));
+  }
+  std::vector<std::pair<size_t, size_t>> pairs;
+  std::vector<std::vector<ColumnMatch>> matches;
+  if (drop) {
+    if (!bucket_keys_.empty()) {
+      bucket_keys_.erase(bucket_keys_.begin() +
+                         static_cast<std::ptrdiff_t>(node));
+    }
+  } else {
     obs::ScopedSpan rematch_span(tracer_, "serve.rematch");
-    AF_RETURN_NOT_OK(RematchTable(*next, target, &lineage));
+    matches = RematchTable(next->lake, node, &lineage, &pairs);
   }
   {
     obs::ScopedSpan drg_span(tracer_, "serve.drg_rebuild");
-    AF_ASSIGN_OR_RETURN(next->drg,
-                        match_store_.BuildGraph(next->lake.TableNames()));
+    next->drg = prev->drg;
+    if (add) next->drg.AddNode(target);
+    if (drop) {
+      next->drg.RemoveNode(node);
+    } else {
+      AF_RETURN_NOT_OK(next->drg.ReplaceNodeEdges(node, pairs, matches));
+    }
   }
+  // Each matched pair is one distinct neighbour in the graph.
+  lineage.pairs_carried =
+      matched_pairs_ - (add ? 0 : prev->drg.Neighbors(node).size());
+  matched_pairs_ = lineage.pairs_carried + CountMatched(matches);
   lineage.num_tables = next->lake.num_tables();
   lineage.drg_edges = next->drg.num_edges();
 

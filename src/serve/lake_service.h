@@ -5,9 +5,10 @@
 //
 //  * a mutation API — AddTable / AppendRows / DropTable — performing
 //    *incremental* DRG maintenance (only pairs touching the mutated table
-//    are re-scored; candidate generation for the touched table tests its
-//    LSH bucket-key set in one pass against every other table's cached set
-//    instead of rebuilding the lake-wide index) and *precise* cache
+//    are re-scored, and only its node's edges in a copy of the previous
+//    graph are edited; candidate generation for the touched table tests
+//    its LSH bucket-key set in one pass against every other table's cached
+//    set instead of rebuilding the lake-wide index) and *precise* cache
 //    invalidation (only the touched table's entries rebuild: the one
 //    service-lifetime sketch cache erases them in place, and each epoch's
 //    join cache carries every other entry of the last one by pointer);
@@ -42,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/autofeat.h"
@@ -53,7 +53,6 @@
 #include "discovery/schema_matcher.h"
 #include "discovery/sketch_cache.h"
 #include "graph/drg.h"
-#include "graph/drg_delta.h"
 #include "ml/trainer.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -96,8 +95,8 @@ struct EpochLineage {
   size_t num_tables = 0;
   size_t drg_edges = 0;
   /// Candidate pairs actually re-scored for this epoch vs pairs skipped by
-  /// the LSH bucket-key test vs scored pairs carried from the previous
-  /// epoch's match store untouched.
+  /// the LSH bucket-key test vs matched pairs (table pairs with an edge)
+  /// carried from the previous epoch's DRG untouched.
   size_t pairs_rescored = 0;
   size_t pairs_skipped = 0;
   size_t pairs_carried = 0;
@@ -163,8 +162,10 @@ class LakeService {
   // -- Mutations (serialised; each returns the new epoch) -----------------
 
   /// Applies one mutation: lake update, sketch invalidation, incremental
-  /// re-match of the touched table (span `serve.rematch`), canonical DRG
-  /// rebuild (`serve.drg_rebuild`), join-cache carry-over
+  /// re-match of the touched table (span `serve.rematch`), an edit of a
+  /// copy of the previous DRG at the touched table's node only
+  /// (`serve.drg_rebuild`; see DatasetRelationGraph's discovered-graph
+  /// edits), join-cache carry-over
   /// (`serve.join_carry`), snapshot publish, and freeing the superseded
   /// snapshots no reader pins (`serve.reclaim`). A failed mutation (duplicate
   /// add, schema-mismatched append, missing drop target) changes nothing
@@ -214,26 +215,24 @@ class LakeService {
   LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
               obs::Tracer* tracer, obs::EventLog* event_log);
 
-  /// The cached bucket-key set (TableBucketKeys) of `table`, computing and
-  /// memoising it on first use. Create seeds the cache from the candidate
-  /// index's profiles, so only added or mutated tables are profiled here.
-  const std::vector<uint64_t>& BucketKeysFor(const Table& table);
-
   /// Frees the retired snapshots no reader pins (span `serve.reclaim`).
   /// Writer mutex held.
   void ReclaimSnapshots();
 
-  /// Re-scores every candidate pair touching `target` (present in
-  /// snap->lake), updates the match store and adds the pairs rescored and
-  /// skipped to `lineage`. Writer mutex held.
-  Status RematchTable(const LakeSnapshot& snap, const std::string& target,
-                      EpochLineage* lineage);
+  /// Re-scores every candidate pair touching the table at position
+  /// `target` of `lake`: fills `pairs` (ascending (i, j)) and returns their
+  /// matches, oriented i -> j. Under LSH the target's bucket keys replace
+  /// bucket_keys_[target], or are appended for an added table. Adds the
+  /// pairs rescored and skipped to `lineage`. Writer mutex held.
+  std::vector<std::vector<ColumnMatch>> RematchTable(
+      const DataLake& lake, size_t target, EpochLineage* lineage,
+      std::vector<std::pair<size_t, size_t>>* pairs);
 
-  /// Scores `pairs` (ascending (i, j) positions in snap->lake) with the
-  /// batch pair scorer and installs the matches in the store. Writer mutex
-  /// held (or, in Create, the service not yet published).
-  void StorePairScores(const LakeSnapshot& snap,
-                       const std::vector<std::pair<size_t, size_t>>& pairs);
+  /// Scores `pairs` (ascending (i, j) positions in `lake`) with the batch
+  /// pair scorer and counts them in `serve.pairs_rescored`.
+  std::vector<std::vector<ColumnMatch>> ScorePairs(
+      const DataLake& lake,
+      const std::vector<std::pair<size_t, size_t>>& pairs);
 
   /// Records one epoch's lineage (and its `epoch_publish` event).
   void RecordLineage(EpochLineage record);
@@ -277,12 +276,13 @@ class LakeService {
   mutable std::mutex lineage_mutex_;
   std::deque<EpochLineage> lineage_;
 
-  // Writer-side state (guarded by writer_mutex_): the canonical match
-  // store the DRG is rebuilt from, each table's LSH bucket-key set, and the
-  // sketch cache both come from (snapshots share it read-only).
+  // Writer-side state (guarded by writer_mutex_): the number of matched
+  // table pairs in the current DRG, each table's LSH bucket-key set by
+  // lake position (empty unless UsesLshCandidates), and the sketch cache
+  // both come from (snapshots share it read-only).
   std::mutex writer_mutex_;
-  DrgMatchStore match_store_;
-  std::unordered_map<std::string, std::vector<uint64_t>> bucket_keys_;
+  size_t matched_pairs_ = 0;
+  std::vector<std::vector<uint64_t>> bucket_keys_;
   std::shared_ptr<LakeSketchCache> sketch_cache_;
 
   // The published snapshot (guarded by snapshot_mutex_ for the pointer

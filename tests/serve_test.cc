@@ -359,6 +359,78 @@ TEST(LakeServiceTest, EpochZeroDrgEqualsBatchDiscovery) {
   }
 }
 
+TEST(LakeServiceTest, LineageCountsOfAScriptArePinned) {
+  // create -> add -> append -> drop -> re-add over a 30-table scale lake
+  // (pods of five tables sharing a key), the hub re-added at the end of
+  // the lake. Every lineage count is pinned, and each epoch's graph must
+  // be the cold build's.
+  datagen::ScaleLakeSpec spec;
+  spec.num_tables = 30;
+  spec.seed = 11;
+  DataLake lake = datagen::BuildScaleLake(spec);
+  const Table added = *lake.GetTable("pod2_t3").ValueOrDie();
+  const Table hub = *lake.GetTable("pod1_t0").ValueOrDie();
+  const Table rows = lake.GetTable("pod1_t1").ValueOrDie()->TakeRows({0, 1});
+  ASSERT_TRUE(lake.RemoveTable("pod2_t3").ok());
+  struct Counts {
+    size_t carried;
+    size_t rescored;
+    size_t skipped;
+    size_t edges;
+  };
+  struct Arm {
+    const char* label;
+    CandidateMode mode;
+    std::vector<Counts> expected;  // create, add, append, drop, re-add
+  };
+  for (const Arm& arm :
+       {Arm{"lsh",
+             CandidateMode::kLsh,
+             {{0, 56, 350, 56},
+              {56, 4, 25, 60},
+              {56, 4, 25, 60},
+              {56, 0, 0, 56},
+              {56, 4, 25, 60}}},
+        Arm{"all pairs",
+            CandidateMode::kAllPairs,
+            {{0, 406, 0, 56},
+             {56, 29, 0, 60},
+             {56, 29, 0, 60},
+             {56, 0, 0, 56},
+             {56, 29, 0, 60}}}}) {
+    SCOPED_TRACE(arm.label);
+    ServeOptions options;
+    options.match.candidate_mode = arm.mode;
+    options.match.threshold = 0.55;
+    std::unique_ptr<LakeService> service = MakeService(lake, options);
+    auto expect_cold_graph = [&] {
+      const LakeService::SnapshotPin snap = service->snapshot();
+      Result<DatasetRelationGraph> cold =
+          BuildDrgByDiscovery(snap->lake, options.match);
+      ASSERT_TRUE(cold.ok()) << cold.status().message();
+      EXPECT_EQ(snap->drg.OrderedFingerprint(), cold->OrderedFingerprint())
+          << "epoch " << snap->epoch;
+    };
+    ASSERT_TRUE(service->AddTable(added).ok());
+    expect_cold_graph();
+    ASSERT_TRUE(service->AppendRows("pod1_t1", rows).ok());
+    expect_cold_graph();
+    ASSERT_TRUE(service->DropTable("pod1_t0").ok());
+    expect_cold_graph();
+    ASSERT_TRUE(service->AddTable(hub).ok());  // back at the end of the lake
+    expect_cold_graph();
+    const std::vector<EpochLineage> lineage = service->Lineage();
+    ASSERT_EQ(lineage.size(), 5u);
+    for (size_t e = 0; e < lineage.size(); ++e) {
+      SCOPED_TRACE("epoch " + std::to_string(e));
+      EXPECT_EQ(lineage[e].pairs_carried, arm.expected[e].carried);
+      EXPECT_EQ(lineage[e].pairs_rescored, arm.expected[e].rescored);
+      EXPECT_EQ(lineage[e].pairs_skipped, arm.expected[e].skipped);
+      EXPECT_EQ(lineage[e].drg_edges, arm.expected[e].edges);
+    }
+  }
+}
+
 TEST(LakeServiceTest, IncrementalEquivalenceInvariantPassesFuzzedTraces) {
   const qa::Invariant* invariant = nullptr;
   for (const qa::Invariant& inv : qa::BuiltinInvariants()) {

@@ -7,6 +7,7 @@
 #include "discovery/lsh_index.h"
 #include "discovery/sketch_cache.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "table/columnar.h"
 #include "table/csv.h"
 #include "util/string_utils.h"
@@ -240,14 +241,39 @@ bool UsesLshCandidates(const MatchOptions& options) {
 std::vector<std::pair<size_t, size_t>> CandidateTablePairs(
     const DataLake& lake, LakeSketchCache& cache, const MatchOptions& options,
     ThreadPool* pool, obs::MetricsRegistry* metrics,
-    std::vector<std::vector<ColumnLshProfile>>* profiles) {
-  const size_t n = lake.num_tables();
+    std::vector<std::vector<uint64_t>>* bucket_keys) {
+  const auto& tables = lake.tables();
+  const size_t n = tables.size();
   std::vector<std::pair<size_t, size_t>> pairs;
   if (UsesLshCandidates(options)) {
-    LshCandidateIndex index =
-        LshCandidateIndex::Build(lake, cache, options.lsh, pool, metrics);
-    pairs = index.candidate_table_pairs();
-    if (profiles != nullptr) *profiles = index.TakeTableProfiles();
+    // One task per table, each writing only its own slots: a key set is a
+    // pure function of the table's sketches, so the fan-out is
+    // thread-count-independent. A column is indexed iff its sketch is
+    // non-empty.
+    std::vector<std::vector<uint64_t>> keys(n);
+    std::vector<size_t> indexed(n, 0);
+    obs::Tracer* tracer = pool != nullptr ? pool->tracer() : nullptr;
+    obs::TaskContext ctx = obs::CaptureTaskContext(n == 0 ? nullptr : tracer);
+    ParallelFor(pool, 0, n, /*grain=*/1, [&](size_t t) {
+      obs::ScopedWorkerSpan span(ctx, "sketch.minhash");
+      LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(tables[t]);
+      keys[t] = TableBucketKeys(tables[t], *pin, options.lsh);
+      indexed[t] = static_cast<size_t>(
+          std::count_if(pin->begin(), pin->end(), [](const ColumnSketch& s) {
+            return !s.hashes.empty();
+          }));
+    });
+    size_t columns = 0, columns_indexed = 0;
+    for (size_t t = 0; t < n; ++t) {
+      columns += tables[t].num_columns();
+      columns_indexed += indexed[t];
+    }
+    obs::Increment(obs::GetCounter(metrics, "lsh.columns_indexed"),
+                   columns_indexed);
+    obs::Increment(obs::GetCounter(metrics, "lsh.columns_skipped"),
+                   columns - columns_indexed);
+    pairs = LshCandidatePairs(keys, metrics);
+    if (bucket_keys != nullptr) *bucket_keys = std::move(keys);
   } else {
     pairs = AllTablePairs(n);
   }

@@ -9,6 +9,7 @@
 #ifndef AUTOFEAT_DISCOVERY_DATA_LAKE_H_
 #define AUTOFEAT_DISCOVERY_DATA_LAKE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -183,8 +184,8 @@ Result<DatasetRelationGraph> BuildDrgFromKfk(
 /// Every column is sketched exactly once (LakeSketchCache) before the pair
 /// sweep. CandidateTablePairs picks the pairs: with the default
 /// options.candidate_mode (kAllPairs) every pair of the upper triangle —
-/// O(n²) in the table count; with kLsh a MinHash-LSH index over the
-/// sketches (see lsh_index.h) generates the candidate subset first.
+/// O(n²) in the table count; with kLsh only the pairs whose MinHash-LSH
+/// bucket keys over the sketches intersect (see lsh_index.h).
 /// ScoreTablePairs scores them. With a `pool`, sketching fans out over
 /// tables and pair scoring over (candidate) table pairs; matches are folded
 /// into the DRG in deterministic (i, j) pair order, so the graph is
@@ -209,18 +210,20 @@ Result<DatasetRelationGraph> BuildDrgByDiscovery(
 bool UsesLshCandidates(const MatchOptions& options);
 
 /// The table pairs a whole-lake discovery build scores, as ascending (i, j)
-/// lake positions with i < j: the banded LshCandidateIndex's candidates when
-/// UsesLshCandidates(options), else the full upper triangle. Profiles build
-/// over the sketches in `cache` (fanning out over `pool`), so the list is
-/// identical at any thread count. A non-null `metrics` records
-/// `drg.candidate_pairs`, `drg.pairs_pruned` and, under LSH, the index's
-/// `lsh.*` counters and `lsh_index.bytes` gauges. A non-null `profiles`
-/// receives the index's per-table column profiles (lake order) under LSH
-/// and is left empty otherwise.
+/// lake positions with i < j: when UsesLshCandidates(options), the pairs
+/// whose bucket-key sets intersect (TableBucketKeys per table, fanning out
+/// over `pool`, then LshCandidatePairs), else the full upper triangle. Key
+/// sets build over the sketches in `cache`, so the list is identical at any
+/// thread count. A non-null `metrics` records `drg.candidate_pairs`,
+/// `drg.pairs_pruned` and, under LSH, `lsh.columns_indexed` /
+/// `lsh.columns_skipped` (columns with an empty sketch) plus
+/// LshCandidatePairs' `lsh.bucket_collisions` and `lsh_index.bytes`
+/// gauges. A non-null `bucket_keys` receives every table's key set (lake
+/// order) under LSH and is left empty otherwise.
 std::vector<std::pair<size_t, size_t>> CandidateTablePairs(
     const DataLake& lake, LakeSketchCache& cache, const MatchOptions& options,
     ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,
-    std::vector<std::vector<ColumnLshProfile>>* profiles = nullptr);
+    std::vector<std::vector<uint64_t>>* bucket_keys = nullptr);
 
 /// Scores every (i, j) of `pairs` with MatchSchemas over the sketches in
 /// `cache`, fanning the pairs out over `pool`, and returns each pair's

@@ -4,10 +4,10 @@
 // tables — which caps lake size long before memory does. This module is the
 // cheap first stage of a two-stage pipeline (FREYJA-style): fixed-width
 // MinHash signatures are computed per column from the same hash-native
-// profile the exact matcher scores with (ColumnSketch), banded into an LSH
-// table, and every band-bucket collision between columns of two different
-// tables makes that *table pair* a candidate. Exact scoring (MatchSchemas /
-// MatchByValueOverlap) then runs only on candidates.
+// profile the exact matcher scores with (ColumnSketch) and banded into
+// bucket keys, and every bucket two tables' columns share makes that *table
+// pair* a candidate. Exact scoring (MatchSchemas / MatchByValueOverlap) then
+// runs only on candidates.
 //
 // Soundness: with the default MatchOptions weights, a reported edge needs
 // value overlap — name similarity alone cannot reach the threshold — and
@@ -23,17 +23,17 @@
 //    hash: any column pair (of rescued columns) whose sketches intersect
 //    at all is guaranteed to collide.
 //
-// One banding path: ComputeColumnLshProfile is the only code that derives
-// bucket keys. The cold index files every column's profile into buckets and
-// serves every whole-lake build (CandidateTablePairs in data_lake.h, batch
-// and the serving layer's epoch 0 alike). The serving layer's one-table
-// re-match collapses a table's profiles into one sorted key set
-// (TableBucketKeys) and tests it against every other table's set with a
-// BucketKeyProbe. Keys carry their band and type group in their derivation
+// One candidate structure: TableBucketKeys derives a table's bucket keys,
+// the union over its columns, sorted and deduplicated, and is the only code
+// that does. Keys carry their band and type group in their derivation
 // stream, so two tables share a bucket exactly when their key sets
-// intersect: both paths make the same candidate decisions by construction.
+// intersect. Every whole-lake build (CandidateTablePairs in data_lake.h,
+// batch and the serving layer's epoch 0 alike) finds all intersecting
+// pairs at once with LshCandidatePairs; the serving layer's one-table
+// re-match tests the touched table's set against every other table's with
+// a BucketKeyProbe. Both decide from the same key sets.
 //
-// Determinism: every key is derived from the profile's stored hashes
+// Determinism: every key is derived from the sketch's stored hashes
 // (SketchValueHash: FNV-1a + the splitmix64 finaliser, never std::hash)
 // through DeriveSeed, and the candidate pair list is sorted and
 // deduplicated, so the output (and every counter derived from it) is
@@ -50,9 +50,6 @@
 #include "discovery/sketch_cache.h"
 
 namespace autofeat {
-
-class DataLake;
-class ThreadPool;
 
 namespace obs {
 class MetricsRegistry;
@@ -89,43 +86,30 @@ MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
 MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
                                                   size_t num_hashes);
 
-/// \brief One column's LSH state: the exact set of bucket keys
-/// LshCandidateIndex::Build files the column under.
+/// Every bucket key a column of `table` is filed under, sorted and
+/// deduplicated; `sketches` holds one sketch per column. A non-empty column
+/// gets one key per band, DeriveSeed(band content, 2b + g), and a rescued
+/// one also DeriveSeed(h, 2 * 32 + g) for each sketch hash h. Key-like
+/// columns (int64/string, g = 1) and doubles (g = 0) never share a key,
+/// mirroring the matcher's join-plausibility filter. An empty column adds
+/// no key. Pure function of (sketches, column types, options).
+std::vector<uint64_t> TableBucketKeys(const Table& table,
+                                      const std::vector<ColumnSketch>& sketches,
+                                      const LshOptions& options);
+
+/// Every (i, j) pair of tables, i < j ascending, whose key sets
+/// (`table_keys[t]`, each sorted and deduplicated) share a key. One pass:
+/// the (key, table) entries are sorted once and each run of equal keys
+/// pairs its tables. Folding matches in this order preserves the all-pairs
+/// edge-insertion order on the surviving pairs.
 ///
-/// Profiles make the bucket structure a pure per-column function: two
-/// columns collide in the cold index iff their profiles share a bucket key.
-/// The serving layer must reproduce the index's candidate decisions for one
-/// mutated table without rebuilding the lake-wide index (the incremental DRG
-/// is gated byte-identical to a cold rebuild), so it keeps each table's
-/// profiles collapsed into one key set (TableBucketKeys).
-struct ColumnLshProfile {
-  /// Sorted bucket keys in one keyspace, separated by derivation stream:
-  /// band b of type group g is DeriveSeed(band content, 2b + g); each
-  /// rescued sketch hash h is DeriveSeed(h, 2 * 32 + g). Key-like
-  /// columns (int64/string, g = 1) and doubles (g = 0) never share a key,
-  /// mirroring the matcher's join-plausibility filter.
-  std::vector<uint64_t> bucket_keys;
-  /// False when the column enters no bucket (empty sketch).
-  bool indexed = false;
-};
-
-/// The profile Build would index this column under. Pure function of
-/// (sketch, column type, options).
-ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
-                                         DataType type,
-                                         const LshOptions& options);
-
-/// Profiles for every column of `table` over its sketches.
-std::vector<ColumnLshProfile> ComputeTableLshProfiles(
-    const Table& table, const std::vector<ColumnSketch>& sketches,
-    const LshOptions& options);
-
-/// The union of one table's column profiles: every bucket key any of its
-/// columns is filed under, sorted and deduplicated. Two tables share a
-/// bucket in the cold index iff their key sets intersect, because a key's
-/// derivation stream already separates bands and type groups.
-std::vector<uint64_t> TableBucketKeys(
-    const std::vector<ColumnLshProfile>& profiles);
+/// A non-null `metrics` records `lsh.bucket_collisions` (table pairs per
+/// shared key, before deduplication) and charges the entry array to the
+/// `lsh_index.bytes` / `.bytes_peak` gauges while it lives: `.bytes` is
+/// back to where it was on return.
+std::vector<std::pair<size_t, size_t>> LshCandidatePairs(
+    const std::vector<std::vector<uint64_t>>& table_keys,
+    obs::MetricsRegistry* metrics = nullptr);
 
 /// \brief One table's key set, prepared for testing it against many others:
 /// a bit filter over the keys' high bits (they are DeriveSeed outputs, so
@@ -138,74 +122,13 @@ class BucketKeyProbe {
   explicit BucketKeyProbe(std::vector<uint64_t> keys);
 
   /// True iff the key set `other` shares a key with the probed one, i.e.
-  /// the cold index would emit the two tables as a candidate pair.
+  /// LshCandidatePairs would emit the two tables as a candidate pair.
   bool Collides(const std::vector<uint64_t>& other) const;
 
  private:
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> filter_;
   int shift_ = 0;
-};
-
-/// \brief Banded LSH index over every column of a lake, emitting candidate
-/// table pairs for exact DRG scoring.
-class LshCandidateIndex {
- public:
-  /// Computes every column's ColumnLshProfile (in parallel over tables when
-  /// `pool` is given; results identical at any thread count) over the
-  /// sketches in `cache`, files each profile's bucket keys, and
-  /// materialises the sorted, deduplicated candidate table-pair list.
-  ///
-  /// A non-null `metrics` records `lsh.bands` (the band count, 32),
-  /// `lsh.signature_bytes` (total signature footprint), `lsh.columns_indexed`
-  /// / `lsh.columns_skipped` (empty columns), `lsh.bucket_collisions`
-  /// (cross-table column collisions before table-pair dedup) and maintains
-  /// the `lsh_index.bytes` / `.bytes_peak` gauges from ApproxBytes().
-  /// Profile building records `sketch.minhash` worker spans into the
-  /// pool's tracer, when both exist. `cache` is non-const because sketches
-  /// build (and, under a memory budget, rebuild) lazily on request; the
-  /// index pins each table's entry only while profiling it.
-  static LshCandidateIndex Build(const DataLake& lake,
-                                 LakeSketchCache& cache,
-                                 const LshOptions& options,
-                                 ThreadPool* pool = nullptr,
-                                 obs::MetricsRegistry* metrics = nullptr);
-
-  /// Candidate (i, j) table-index pairs, i < j, ascending — the subset of
-  /// the upper triangle the exact matcher needs to score. Folding matches
-  /// in this order preserves the all-pairs edge-insertion order on the
-  /// surviving pairs.
-  const std::vector<std::pair<size_t, size_t>>& candidate_table_pairs()
-      const {
-    return pairs_;
-  }
-
-  size_t num_indexed_columns() const { return columns_indexed_; }
-  size_t num_skipped_columns() const { return columns_skipped_; }
-  /// Total bytes of all column signatures (part of ApproxBytes()).
-  size_t signature_bytes() const { return signature_bytes_; }
-  /// Cross-table column-level bucket collisions (>= candidate pair count).
-  size_t num_bucket_collisions() const { return bucket_collisions_; }
-
-  /// Moves out every table's column profiles, in lake order, as Build
-  /// computed them (for callers that re-match single tables later).
-  std::vector<std::vector<ColumnLshProfile>> TakeTableProfiles() {
-    return std::move(profiles_);
-  }
-
-  /// Approximate heap footprint: signatures + bucket entries + the pair
-  /// list. Size-based (entry counts, not container capacity), so equal
-  /// content reports equal bytes and the derived gauges stay deterministic.
-  size_t ApproxBytes() const;
-
- private:
-  std::vector<std::pair<size_t, size_t>> pairs_;
-  std::vector<std::vector<ColumnLshProfile>> profiles_;
-  size_t columns_indexed_ = 0;
-  size_t columns_skipped_ = 0;
-  size_t signature_bytes_ = 0;
-  size_t bucket_entries_ = 0;
-  size_t bucket_collisions_ = 0;
 };
 
 }  // namespace autofeat

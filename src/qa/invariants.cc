@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "discovery/data_lake.h"
+#include "discovery/lsh_index.h"
+#include "discovery/sketch_cache.h"
 #include "fs/feature_view.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -495,6 +497,39 @@ Status CheckLshDiscoveryDeterminism(const FuzzedLake& fz) {
                       v.label + ": " + base_digest + " vs " + digest);
     }
   }
+  // The serving layer decides one table at a time: a BucketKeyProbe over
+  // the table's key set, tested against every other table's. Over the key
+  // sets the whole-lake pass returns, that must find exactly its pairs.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    MatchOptions options;
+    options.candidate_mode = CandidateMode::kLsh;
+    LakeSketchCache cache = LakeSketchCache::Build(
+        fz.lake, options.max_sample_values, pool.get());
+    std::vector<std::vector<uint64_t>> keys;
+    const std::vector<std::pair<size_t, size_t>> pairs = CandidateTablePairs(
+        fz.lake, cache, options, pool.get(), /*metrics=*/nullptr, &keys);
+    if (keys.size() != fz.lake.num_tables()) {
+      return Violated("CandidateTablePairs returned " +
+                      std::to_string(keys.size()) + " key sets for " +
+                      std::to_string(fz.lake.num_tables()) + " tables");
+    }
+    std::vector<std::pair<size_t, size_t>> probed;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const BucketKeyProbe probe(keys[i]);
+      for (size_t j = i + 1; j < keys.size(); ++j) {
+        if (probe.Collides(keys[j])) probed.emplace_back(i, j);
+      }
+    }
+    if (probed != pairs) {
+      return Violated("at " + std::to_string(threads) + " thread(s), " +
+                      std::to_string(pairs.size()) +
+                      " LSH candidate pairs but " +
+                      std::to_string(probed.size()) +
+                      " BucketKeyProbe collisions");
+    }
+  }
   return Status::OK();
 }
 
@@ -799,7 +834,9 @@ const std::vector<Invariant>& BuiltinInvariants() {
            CheckColumnPermutationInvariance},
           {"discovery.lsh_deterministic",
            "LSH-mode DRG discovery yields identical graphs and obs digests "
-           "across reruns and thread counts",
+           "across reruns and thread counts, and its candidate pairs are "
+           "exactly one BucketKeyProbe per table over the returned key sets "
+           "at 1/4 threads",
            CheckLshDiscoveryDeterminism},
           {"csv.round_trip_stabilises",
            "CSV write/read canonicalises in one pass and is a fixed point "

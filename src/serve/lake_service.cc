@@ -72,21 +72,11 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
   snap->sketch_cache = service->sketch_cache_;
   // Epoch 0 takes its pairs from the batch candidate generator; its counters
   // stay out of the service registry, which counts serving work only. The
-  // index's profiles, collapsed to one key set per table, seed the cache
-  // RematchTable reads, so no mutation re-profiles (and, under a budget,
-  // re-sketches) an untouched table.
-  std::vector<std::pair<size_t, size_t>> pairs;
-  {
-    std::vector<std::vector<ColumnLshProfile>> profiles;
-    pairs = CandidateTablePairs(snap->lake, *service->sketch_cache_,
-                                service->options_.match, service->pool_.get(),
-                                /*metrics=*/nullptr, &profiles);
-    service->bucket_keys_.reserve(profiles.size());
-    for (std::vector<ColumnLshProfile>& table_profiles : profiles) {
-      service->bucket_keys_.push_back(TableBucketKeys(table_profiles));
-      table_profiles.clear();  // hold one copy of the keys at a time
-    }
-  }
+  // key sets it derives are the ones RematchTable reads, so no mutation
+  // re-derives (and, under a budget, re-sketches) an untouched table's.
+  const std::vector<std::pair<size_t, size_t>> pairs = CandidateTablePairs(
+      snap->lake, *service->sketch_cache_, service->options_.match,
+      service->pool_.get(), /*metrics=*/nullptr, &service->bucket_keys_);
   const size_t n = snap->lake.num_tables();
   const size_t skipped = (n > 1 ? n * (n - 1) / 2 : 0) - pairs.size();
   obs::Increment(service->pairs_skipped_, skipped);
@@ -142,15 +132,15 @@ std::vector<std::vector<ColumnMatch>> LakeService::RematchTable(
     std::vector<std::pair<size_t, size_t>>* pairs) {
   const auto tables = lake.tables();
   const size_t n = tables.size();
-  // One table against all: the cold index's collision test as one pass
-  // over each other table's cached key set.
+  // One table against all: the cold build's collision test (do the two
+  // key sets intersect?) as one pass over each other table's cached set.
   const bool lsh = UsesLshCandidates(options_.match);
   std::optional<BucketKeyProbe> probe;
   if (lsh) {
     LakeSketchCache::TableSketchesPin pin =
         sketch_cache_->GetOrBuild(tables[target]);
-    std::vector<uint64_t> keys = TableBucketKeys(
-        ComputeTableLshProfiles(tables[target], *pin, options_.match.lsh));
+    std::vector<uint64_t> keys =
+        TableBucketKeys(tables[target], *pin, options_.match.lsh);
     if (target == bucket_keys_.size()) {
       bucket_keys_.push_back(std::move(keys));
     } else {
@@ -440,6 +430,7 @@ void LakeService::RecordLineage(EpochLineage record) {
                {"join_entries_carried", record.join_entries_carried}});
   std::lock_guard<std::mutex> lock(lineage_mutex_);
   lineage_.push_back(std::move(record));
+  if (lineage_.size() > kLineageRecordsKept) lineage_.pop_front();
 }
 
 std::vector<EpochLineage> LakeService::Lineage() const {
@@ -448,11 +439,11 @@ std::vector<EpochLineage> LakeService::Lineage() const {
 }
 
 std::string LakeService::LineageJson() const {
-  std::vector<EpochLineage> records = Lineage();
   std::ostringstream out;
+  std::lock_guard<std::mutex> lock(lineage_mutex_);
   out << "[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const EpochLineage& r = records[i];
+  for (size_t i = 0; i < lineage_.size(); ++i) {
+    const EpochLineage& r = lineage_[i];
     out << (i == 0 ? "\n  " : ",\n  ");
     out << "{\"epoch\": " << r.epoch << ", \"mutation\": " << r.mutation_id
         << ", \"cause\": \"" << JsonEscape(r.cause) << "\", \"table\": \""
@@ -463,7 +454,7 @@ std::string LakeService::LineageJson() const {
         << ", \"pairs_carried\": " << r.pairs_carried
         << ", \"join_entries_carried\": " << r.join_entries_carried << "}";
   }
-  out << (records.empty() ? "]\n" : "\n]\n");
+  out << (lineage_.empty() ? "]\n" : "\n]\n");
   return out.str();
 }
 

@@ -7,8 +7,9 @@
 //    *incremental* DRG maintenance (only pairs touching the mutated table
 //    are re-scored, and only its node's edges in a copy of the previous
 //    graph are edited; candidate generation for the touched table tests
-//    its LSH bucket-key set in one pass against every other table's cached
-//    set instead of rebuilding the lake-wide index) and *precise* cache
+//    its LSH bucket-key set in one pass against every other table's set,
+//    the same sets epoch 0's whole-lake candidate pass derived and kept,
+//    instead of pairing the whole lake again) and *precise* cache
 //    invalidation (only the touched table's entries rebuild: the one
 //    service-lifetime sketch cache erases them in place, and each epoch's
 //    join cache carries every other entry of the last one by pointer);
@@ -204,11 +205,19 @@ class LakeService {
 
   // -- Lineage (concurrent) -----------------------------------------------
 
-  /// One record per published epoch (epoch 0 first), in publish order.
+  /// How many of the most recent epochs' records the service keeps. Each
+  /// record also went out as an `epoch_publish` event when it was
+  /// published, so an attached event log holds the whole history.
+  static constexpr size_t kLineageRecordsKept = 4096;
+
+  /// One record per published epoch, in publish order: epoch 0 first until
+  /// more than kLineageRecordsKept epochs exist, then the most recent
+  /// kLineageRecordsKept.
   std::vector<EpochLineage> Lineage() const;
 
   /// Lineage() rendered as a JSON array (pretty-printed, one record per
-  /// object) — what the daemon's `lineage` command prints.
+  /// object) — what the daemon's `lineage` command prints. Formats under
+  /// the lineage lock instead of copying the records first.
   std::string LineageJson() const;
 
  private:
@@ -269,10 +278,10 @@ class LakeService {
   uint64_t next_mutation_id_ = 0;
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Per-epoch provenance, publish order (guarded by lineage_mutex_ so
-  /// readers never contend with the writer path beyond this list). A deque
-  /// grows by fixed blocks: no doubled capacity and no whole-history copy
-  /// when it grows.
+  /// Per-epoch provenance of the last kLineageRecordsKept epochs, publish
+  /// order (guarded by lineage_mutex_ so readers never contend with the
+  /// writer path beyond this list). A deque grows by fixed blocks and drops
+  /// its oldest record in O(1).
   mutable std::mutex lineage_mutex_;
   std::deque<EpochLineage> lineage_;
 

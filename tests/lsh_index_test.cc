@@ -1,6 +1,7 @@
-// MinHash-LSH candidate index: signature determinism, banding recall on
-// high-Jaccard pairs, the small-column containment rescue, type-group
-// separation, thread-count independence, and the BuildDrgByDiscovery
+// MinHash-LSH candidate generation: signature determinism, banding recall
+// on high-Jaccard pairs, the small-column containment rescue, type-group
+// separation, the one-pass pair finder against key-set intersection and
+// BucketKeyProbe, thread-count independence, and the BuildDrgByDiscovery
 // candidate_mode wiring (LSH subset equality + the all-pairs fallback when
 // the threshold is reachable on name evidence alone).
 
@@ -17,6 +18,7 @@
 #include "datagen/scale_lake.h"
 #include "discovery/data_lake.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "util/thread_pool.h"
 
 namespace autofeat {
@@ -84,53 +86,59 @@ TEST(MinHashSignatureTest, IdenticalSetsShareEveryBand) {
             ComputeMinHashSignature(b, 64).mins);
 }
 
-TEST(LshCandidateIndexTest, SharedKeyDomainBecomesCandidate) {
+// Every table's key set over the sketches in `cache`.
+std::vector<std::vector<uint64_t>> LakeBucketKeys(const DataLake& lake,
+                                                  LakeSketchCache& cache,
+                                                  const LshOptions& options) {
+  std::vector<std::vector<uint64_t>> keys;
+  for (const Table& table : lake.tables()) {
+    keys.push_back(TableBucketKeys(table, *cache.GetOrBuild(table), options));
+  }
+  return keys;
+}
+
+// The LSH candidate pairs of `lake` under `options`.
+std::vector<std::pair<size_t, size_t>> Candidates(
+    const DataLake& lake, const LshOptions& options = {}) {
+  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
+  return LshCandidatePairs(LakeBucketKeys(lake, cache, options));
+}
+
+TEST(LshCandidatePairsTest, SharedKeyDomainBecomesCandidate) {
   DataLake lake;
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("left", "id", 0, 100)).ok());
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("right", "id", 0, 100)).ok());
-  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshCandidateIndex index =
-      LshCandidateIndex::Build(lake, cache, LshOptions{});
-  ASSERT_EQ(index.candidate_table_pairs().size(), 1u);
-  EXPECT_EQ(index.candidate_table_pairs()[0],
-            (std::pair<size_t, size_t>{0, 1}));
+  const std::vector<std::pair<size_t, size_t>> want = {{0, 1}};
+  EXPECT_EQ(Candidates(lake), want);
 }
 
-TEST(LshCandidateIndexTest, DisjointKeyDomainsArePruned) {
+TEST(LshCandidatePairsTest, DisjointKeyDomainsArePruned) {
   DataLake lake;
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("left", "id_a", 0, 100)).ok());
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("right", "id_b", 1000, 1100)).ok());
-  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshCandidateIndex index =
-      LshCandidateIndex::Build(lake, cache, LshOptions{});
-  EXPECT_TRUE(index.candidate_table_pairs().empty());
+  EXPECT_TRUE(Candidates(lake).empty());
 }
 
-TEST(LshCandidateIndexTest, SmallColumnRescueCatchesContainment) {
+TEST(LshCandidatePairsTest, SmallColumnRescueCatchesContainment) {
   // 5 values contained in 40: Jaccard 0.125, low enough that 32x2 banding
   // misses with good probability — the small-column rescue must guarantee
   // the candidate instead.
   DataLake lake;
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("fk_side", "ref", 10, 15)).ok());
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("pk_side", "ref", 0, 40)).ok());
-  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
   LshOptions options;
   ASSERT_LE(40u, options.small_column_rescue);
-  LshCandidateIndex index = LshCandidateIndex::Build(lake, cache, options);
-  ASSERT_EQ(index.candidate_table_pairs().size(), 1u);
+  EXPECT_EQ(Candidates(lake, options).size(), 1u);
 
   // With the rescue disabled the pair may or may not band-collide; with
   // rescue but no overlap there must be no candidate.
   DataLake disjoint;
   ASSERT_TRUE(disjoint.AddTable(MakeKeyTable("fk_side", "ref", 50, 55)).ok());
   ASSERT_TRUE(disjoint.AddTable(MakeKeyTable("pk_side", "ref", 0, 40)).ok());
-  LakeSketchCache disjoint_cache = LakeSketchCache::Build(disjoint, 4096);
-  EXPECT_TRUE(LshCandidateIndex::Build(disjoint, disjoint_cache, options)
-                  .candidate_table_pairs()
-                  .empty());
+  EXPECT_TRUE(Candidates(disjoint, options).empty());
 }
 
-TEST(LshCandidateIndexTest, TypeGroupsNeverShareBuckets) {
+TEST(LshCandidatePairsTest, TypeGroupsNeverShareBuckets) {
   // An int64 column and a double column with byte-identical value strings
   // must not collide: the exact matcher would never score that pair.
   DataLake lake;
@@ -144,35 +152,56 @@ TEST(LshCandidateIndexTest, TypeGroupsNeverShareBuckets) {
   for (int64_t v = 0; v < 32; ++v) dc.AppendDouble(static_cast<double>(v));
   ASSERT_TRUE(doubles.AddColumn("c", std::move(dc)).ok());
   ASSERT_TRUE(lake.AddTable(std::move(doubles)).ok());
-  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  // Kept in a local: a range-for over a temporary's member would dangle.
-  const LshCandidateIndex index =
-      LshCandidateIndex::Build(lake, cache, LshOptions{});
-  for (const auto& [i, j] : index.candidate_table_pairs()) {
-    // Only a same-group collision could pair these two tables.
-    EXPECT_NE(std::make_pair(i, j), (std::pair<size_t, size_t>{0, 1}));
-  }
+  EXPECT_TRUE(Candidates(lake).empty());
 }
 
-TEST(LshCandidateIndexTest, ThreadCountIndependent) {
+TEST(LshCandidatePairsTest, EmptyColumnsAddNoKeys) {
+  Table table("empty");
+  ASSERT_TRUE(table.AddColumn("c", Column(DataType::kInt64)).ok());
+  const std::vector<ColumnSketch> sketches(1);
+  EXPECT_TRUE(TableBucketKeys(table, sketches, LshOptions{}).empty());
+}
+
+TEST(LshCandidatePairsTest, PairsEveryRunOfEqualKeys) {
+  // Key 1 is shared by tables 0 and 3, key 2 by 0 and 1, key 4 by 2 and 3,
+  // key 7 by 0, 1 and 3; key 9 is table 2's alone.
+  const std::vector<std::vector<uint64_t>> keys = {
+      {1, 2, 7}, {2, 7}, {4, 9}, {1, 4, 7}, {}};
+  obs::MetricsRegistry metrics;
+  const std::vector<std::pair<size_t, size_t>> want = {
+      {0, 1}, {0, 3}, {1, 3}, {2, 3}};
+  EXPECT_EQ(LshCandidatePairs(keys, &metrics), want);
+  // One pair each for keys 1, 2 and 4, three for key 7.
+  EXPECT_EQ(metrics.GetCounter("lsh.bucket_collisions")->value(), 6u);
+  EXPECT_TRUE(LshCandidatePairs({}).empty());
+  EXPECT_TRUE(LshCandidatePairs({{5}, {6}}).empty());
+}
+
+TEST(LshCandidatePairsTest, ThreadCountIndependent) {
   datagen::ScaleLakeSpec spec;
   spec.num_tables = 20;
   DataLake lake = datagen::BuildScaleLake(spec);
+  MatchOptions options;
+  options.candidate_mode = CandidateMode::kLsh;
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshCandidateIndex sequential =
-      LshCandidateIndex::Build(lake, cache, LshOptions{});
+  obs::MetricsRegistry seq_metrics, par_metrics;
+  std::vector<std::vector<uint64_t>> seq_keys, par_keys;
+  const std::vector<std::pair<size_t, size_t>> sequential =
+      CandidateTablePairs(lake, cache, options, nullptr, &seq_metrics,
+                          &seq_keys);
   ThreadPool pool(4);
-  LshCandidateIndex parallel =
-      LshCandidateIndex::Build(lake, cache, LshOptions{}, &pool);
-  EXPECT_EQ(sequential.candidate_table_pairs(),
-            parallel.candidate_table_pairs());
-  EXPECT_EQ(sequential.signature_bytes(), parallel.signature_bytes());
-  EXPECT_EQ(sequential.num_bucket_collisions(),
-            parallel.num_bucket_collisions());
+  const std::vector<std::pair<size_t, size_t>> parallel =
+      CandidateTablePairs(lake, cache, options, &pool, &par_metrics,
+                          &par_keys);
+  EXPECT_FALSE(sequential.empty());
+  EXPECT_EQ(sequential, parallel);
+  EXPECT_EQ(seq_keys, par_keys);
+  EXPECT_EQ(obs::DeterministicDigest(seq_metrics, nullptr),
+            obs::DeterministicDigest(par_metrics, nullptr));
 }
 
 // Whether two sorted key sets intersect, by plain merge: the definition
-// the probe's filter must agree with.
+// both the pair pass and the probe's filter must agree with.
 bool KeySetsIntersect(const std::vector<uint64_t>& a,
                       const std::vector<uint64_t>& b) {
   std::vector<uint64_t> common;
@@ -181,11 +210,11 @@ bool KeySetsIntersect(const std::vector<uint64_t>& a,
   return !common.empty();
 }
 
-TEST(LshCandidateIndexTest, BuildEqualsTableKeySetCollisions) {
-  // One banding path: the cold index files the same profiles the serving
-  // layer collapses into one key set per table, so its candidates must be
-  // exactly the table pairs whose key sets intersect, with and without the
-  // small-column rescue, and BucketKeyProbe must find exactly those.
+TEST(LshCandidatePairsTest, PairsAndProbeEqualKeySetIntersections) {
+  // One candidate structure: the whole-lake pass must pair exactly the
+  // tables whose key sets intersect, with and without the small-column
+  // rescue, CandidateTablePairs must hand back the key sets it paired, and
+  // BucketKeyProbe must find exactly the same collisions.
   datagen::ScaleLakeSpec spec;
   spec.num_tables = 20;
   spec.rows = 48;  // key and feature columns under the default rescue
@@ -200,17 +229,18 @@ TEST(LshCandidateIndexTest, BuildEqualsTableKeySetCollisions) {
   std::vector<LshOptions> variants(2);
   variants[1].small_column_rescue = 0;
   for (size_t v = 0; v < variants.size(); ++v) {
-    const LshOptions& options = variants[v];
+    MatchOptions options;
+    options.candidate_mode = CandidateMode::kLsh;
+    options.lsh = variants[v];
     std::vector<std::vector<uint64_t>> keys;
-    for (size_t t = 0; t < lake.num_tables(); ++t) {
-      keys.push_back(TableBucketKeys(ComputeTableLshProfiles(
-          lake.tables()[t], *cache.GetOrBuild(lake.tables()[t]), options)));
-      ASSERT_TRUE(std::is_sorted(keys.back().begin(), keys.back().end()));
-      ASSERT_EQ(std::adjacent_find(keys.back().begin(), keys.back().end()),
-                keys.back().end());
-    }
+    const std::vector<std::pair<size_t, size_t>> got =
+        CandidateTablePairs(lake, cache, options, nullptr, nullptr, &keys);
+    ASSERT_EQ(keys, LakeBucketKeys(lake, cache, options.lsh));
     std::vector<std::pair<size_t, size_t>> want;
     for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(std::is_sorted(keys[i].begin(), keys[i].end()));
+      ASSERT_EQ(std::adjacent_find(keys[i].begin(), keys[i].end()),
+                keys[i].end());
       const BucketKeyProbe probe(keys[i]);
       for (size_t j = 0; j < keys.size(); ++j) {
         if (j == i) continue;
@@ -221,14 +251,11 @@ TEST(LshCandidateIndexTest, BuildEqualsTableKeySetCollisions) {
       }
     }
     EXPECT_FALSE(want.empty()) << "variant " << v;
-    EXPECT_EQ(LshCandidateIndex::Build(lake, cache, options)
-                  .candidate_table_pairs(),
-              want)
-        << "variant " << v;
+    EXPECT_EQ(got, want) << "variant " << v;
   }
 }
 
-TEST(LshCandidateIndexTest, KeySetsCollideThroughDifferentColumns) {
+TEST(LshCandidatePairsTest, KeySetsCollideThroughDifferentColumns) {
   // The shared bucket comes from column 0 of one table and column 1 of the
   // other, under different names: the per-table union must still see it.
   DataLake lake;
@@ -250,52 +277,61 @@ TEST(LshCandidateIndexTest, KeySetsCollideThroughDifferentColumns) {
   ASSERT_TRUE(lake.AddTable(std::move(right)).ok());
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
 
-  std::vector<std::vector<ColumnLshProfile>> profiles;
-  for (const Table& table : lake.tables()) {
-    profiles.push_back(ComputeTableLshProfiles(
-        table, *cache.GetOrBuild(table), LshOptions{}));
-  }
+  // Each column's own keys: the key set of a one-column table.
+  auto column_keys = [&](size_t t, size_t c) {
+    const Table& table = lake.tables()[t];
+    Result<Table> column = table.SelectColumns({table.ColumnNames()[c]});
+    EXPECT_TRUE(column.ok());
+    return TableBucketKeys(*column, {(*cache.GetOrBuild(table))[c]},
+                           LshOptions{});
+  };
   // Same-position columns share nothing; the cross pair does.
-  EXPECT_FALSE(KeySetsIntersect(profiles[0][0].bucket_keys,
-                                profiles[1][0].bucket_keys));
-  EXPECT_FALSE(KeySetsIntersect(profiles[0][1].bucket_keys,
-                                profiles[1][1].bucket_keys));
-  EXPECT_TRUE(KeySetsIntersect(profiles[0][0].bucket_keys,
-                               profiles[1][1].bucket_keys));
-  const std::vector<uint64_t> left_keys = TableBucketKeys(profiles[0]);
-  const std::vector<uint64_t> right_keys = TableBucketKeys(profiles[1]);
-  EXPECT_TRUE(BucketKeyProbe(left_keys).Collides(right_keys));
-  EXPECT_TRUE(BucketKeyProbe(right_keys).Collides(left_keys));
+  EXPECT_FALSE(KeySetsIntersect(column_keys(0, 0), column_keys(1, 0)));
+  EXPECT_FALSE(KeySetsIntersect(column_keys(0, 1), column_keys(1, 1)));
+  EXPECT_TRUE(KeySetsIntersect(column_keys(0, 0), column_keys(1, 1)));
+  const std::vector<std::vector<uint64_t>> keys =
+      LakeBucketKeys(lake, cache, LshOptions{});
+  EXPECT_TRUE(BucketKeyProbe(keys[0]).Collides(keys[1]));
+  EXPECT_TRUE(BucketKeyProbe(keys[1]).Collides(keys[0]));
   const std::vector<std::pair<size_t, size_t>> want = {{0, 1}};
-  EXPECT_EQ(LshCandidateIndex::Build(lake, cache, LshOptions{})
-                .candidate_table_pairs(),
-            want);
+  EXPECT_EQ(LshCandidatePairs(keys), want);
 }
 
-TEST(LshCandidateIndexTest, EmptyKeySetCollidesWithNothing) {
+TEST(LshCandidatePairsTest, EmptyKeySetCollidesWithNothing) {
   const std::vector<uint64_t> keys = {1, 2, 3};
   EXPECT_FALSE(BucketKeyProbe(std::vector<uint64_t>{}).Collides(keys));
   EXPECT_FALSE(BucketKeyProbe(keys).Collides({}));
   EXPECT_TRUE(BucketKeyProbe(keys).Collides({3}));
 }
 
-TEST(LshCandidateIndexTest, RecordsCountersAndByteGauges) {
+TEST(LshCandidatePairsTest, RecordsCountersAndReturnsItsBytes) {
   datagen::ScaleLakeSpec spec;
   spec.num_tables = 10;
   DataLake lake = datagen::BuildScaleLake(spec);
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
+  MatchOptions options;
+  options.candidate_mode = CandidateMode::kLsh;
   obs::MetricsRegistry metrics;
-  LshCandidateIndex index =
-      LshCandidateIndex::Build(lake, cache, LshOptions{}, nullptr, &metrics);
-  EXPECT_EQ(metrics.GetCounter("lsh.bands")->value(), 32u);
-  EXPECT_EQ(metrics.GetCounter("lsh.signature_bytes")->value(),
-            index.signature_bytes());
-  EXPECT_GT(metrics.GetCounter("lsh.columns_indexed")->value(), 0u);
-  EXPECT_EQ(metrics.GetGauge("lsh_index.bytes")->value(),
-            static_cast<int64_t>(index.ApproxBytes()));
+  std::vector<std::vector<uint64_t>> keys;
+  const std::vector<std::pair<size_t, size_t>> pairs =
+      CandidateTablePairs(lake, cache, options, nullptr, &metrics, &keys);
+  size_t columns = 0, total_keys = 0;
+  for (size_t t = 0; t < lake.num_tables(); ++t) {
+    columns += lake.tables()[t].num_columns();
+    total_keys += keys[t].size();
+  }
+  EXPECT_EQ(metrics.GetCounter("lsh.columns_indexed")->value(), columns);
+  EXPECT_EQ(metrics.GetCounter("lsh.columns_skipped")->value(), 0u);
+  EXPECT_GE(metrics.GetCounter("lsh.bucket_collisions")->value(),
+            pairs.size());
+  EXPECT_EQ(metrics.GetCounter("drg.candidate_pairs")->value(), pairs.size());
+  // The pair pass's entry array is charged while it lives and returned
+  // when it is freed.
+  EXPECT_EQ(metrics.GetGauge("lsh_index.bytes")->value(), 0);
   EXPECT_EQ(metrics.GetGauge("lsh_index.bytes_peak")->value(),
-            static_cast<int64_t>(index.ApproxBytes()));
-  EXPECT_GT(index.ApproxBytes(), index.signature_bytes());
+            static_cast<int64_t>(total_keys *
+                                 sizeof(std::pair<uint64_t, uint32_t>)));
+  EXPECT_GT(metrics.GetGauge("lsh_index.bytes_peak")->value(), 0);
 }
 
 TEST(DiscoveryCandidateModeTest, LshFindsExactlyTheAllPairsEdges) {

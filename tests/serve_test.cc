@@ -498,6 +498,47 @@ TEST(LakeServiceObsTest, EventLogRecordsQueriesMutationsAndLineage) {
   EXPECT_GT(metrics.QuantileValueAt("serve.query_latency_ns", 0.5), 0u);
 }
 
+TEST(LakeServiceObsTest, LineageKeepsTheMostRecentEpochs) {
+  // A long-lived service keeps a bounded lineage: past the limit the oldest
+  // record goes, while every epoch still reaches the event log.
+  obs::EventLog events;
+  Result<std::unique_ptr<LakeService>> service = LakeService::Create(
+      testsupport::MakeOrdersCustomersLake(), ServeOptions{},
+      /*metrics=*/nullptr, /*tracer=*/nullptr, &events);
+  ASSERT_TRUE(service.ok()) << service.status().message();
+  const Table customers =
+      **(*service)->snapshot()->lake.GetTable("customers");
+  const size_t kept = LakeService::kLineageRecordsKept;
+  const size_t mutations = kept + 10;
+  for (size_t m = 0; m < mutations; ++m) {
+    Result<uint64_t> epoch = m % 2 == 0 ? (*service)->DropTable("customers")
+                                        : (*service)->AddTable(customers);
+    ASSERT_TRUE(epoch.ok()) << epoch.status().message();
+  }
+  const std::vector<EpochLineage> lineage = (*service)->Lineage();
+  ASSERT_EQ(lineage.size(), kept);
+  EXPECT_EQ(lineage.back().epoch, (*service)->epoch());
+  EXPECT_EQ(lineage.back().epoch, mutations);
+  EXPECT_EQ(lineage.front().epoch, mutations - kept + 1);
+  for (size_t e = 1; e < lineage.size(); ++e) {
+    EXPECT_EQ(lineage[e].epoch, lineage[e - 1].epoch + 1);
+  }
+  const std::string json = (*service)->LineageJson();
+  size_t records = 0;
+  for (size_t at = json.find("{\"epoch\": "); at != std::string::npos;
+       at = json.find("{\"epoch\": ", at + 1)) {
+    ++records;
+  }
+  EXPECT_EQ(records, kept);
+  const std::string log = events.Jsonl(false);
+  size_t published = 0;
+  for (size_t at = log.find("\"epoch_publish\""); at != std::string::npos;
+       at = log.find("\"epoch_publish\"", at + 1)) {
+    ++published;
+  }
+  EXPECT_EQ(published, mutations + 1);
+}
+
 TEST(LakeServiceObsTest, ReplayedSequencesGiveByteIdenticalObservability) {
   // Two services replaying the same mutation/query sequence must agree on
   // the stripped event log and the full lineage, byte for byte — at any

@@ -10,7 +10,6 @@
 
 #include "core/ranking.h"
 #include "fs/streaming.h"
-#include "relational/join.h"
 #include "relational/join_index.h"
 #include "relational/sampling.h"
 #include "util/rng.h"
@@ -461,36 +460,89 @@ Result<Table> AutoFeat::MaterializeAugmentedTable(
     return Status::KeyError("label column '" + label_column +
                             "' missing from base table " + base_table);
   }
-  Table current = *base;
+  AF_ASSIGN_OR_RETURN(Table selected,
+                      GatherSelectedColumns(base_table, ranked));
+  Table augmented = *base;
+  for (size_t c = 0; c < selected.num_columns(); ++c) {
+    const std::string& name = selected.schema().field(c).name;
+    AF_RETURN_NOT_OK(
+        augmented.AddColumn(name, std::move(*selected.mutable_column(c))));
+  }
+  augmented.set_name(base->name() + "_augmented");
+  return augmented;
+}
+
+Result<Table> AutoFeat::GatherSelectedColumns(const std::string& base_table,
+                                              const RankedPath& ranked) {
+  AF_ASSIGN_OR_RETURN(const Table* base_ptr, lake_->GetTable(base_table));
+  const Table& base = *base_ptr;
+  // Where each column of the accumulated join comes from: a base column, or
+  // column `column` of the right table of hop `hop`.
+  constexpr size_t kBase = static_cast<size_t>(-1);
+  struct Source {
+    size_t hop = kBase;
+    size_t column = 0;
+  };
+  const std::vector<std::string> base_names = base.ColumnNames();
+  std::vector<std::string> names = base_names;
+  std::unordered_map<std::string, Source> sources;
+  for (size_t c = 0; c < names.size(); ++c) sources[names[c]] = {kBase, c};
+  std::vector<const Table*> rights;
+  // Per hop: base row -> its right row (kNoMatchRow when unmatched). A left
+  // join keeps the base rows in order, so this is the whole hop.
+  std::vector<std::vector<uint32_t>> hop_rows;
+
   for (const JoinStep& step : ranked.path.steps) {
     const std::string& right_name = drg_->NodeName(step.to_node);
     AF_ASSIGN_OR_RETURN(const Table* right, lake_->GetTable(right_name));
-    if (!current.HasColumn(step.from_column)) {
+    auto key = sources.find(step.from_column);
+    if (key == sources.end()) {
       return Status::KeyError("join column vanished during materialisation: " +
                               step.from_column);
     }
-    // The shared cache means the full-data materialisation picks the same
-    // per-key representatives the discovery phase scored (rebuilds after
-    // eviction reproduce them exactly).
+    // The shared cache means the full-data join picks the same per-key
+    // representatives the discovery phase scored (rebuilds after eviction
+    // reproduce them exactly).
     AF_ASSIGN_OR_RETURN(JoinIndexCache::IndexPin index,
                         join_cache_->GetOrBuild(right_name, step.to_column));
-    AF_ASSIGN_OR_RETURN(
-        JoinResult joined,
-        LeftJoinWithIndex(current, step.from_column, *right, *index));
-    current = std::move(joined.table);
+    const Source from = key->second;
+    std::vector<uint32_t> rows;
+    if (from.hop == kBase) {
+      rows = MapLeftJoin(base.column(from.column), *index).right_rows;
+    } else {
+      // The key is an earlier hop's column gathered onto the base rows:
+      // probe that hop's right table once and compose the two mappings. A
+      // null or unmatched key matches nothing either way.
+      const std::vector<uint32_t> via =
+          MapLeftJoin(rights[from.hop]->column(from.column), *index)
+              .right_rows;
+      rows = hop_rows[from.hop];
+      for (uint32_t& row : rows) {
+        if (row != kNoMatchRow) row = via[row];
+      }
+    }
+    std::vector<std::string> appended = ResolveAppendedNames(names, *right);
+    for (size_t c = 0; c < appended.size(); ++c) {
+      sources[appended[c]] = {rights.size(), c};
+      names.push_back(std::move(appended[c]));
+    }
+    rights.push_back(right);
+    hop_rows.push_back(std::move(rows));
   }
 
-  // Keep base columns (including the label) plus the selected features.
-  std::vector<std::string> keep = base->ColumnNames();
-  std::unordered_set<std::string> seen(keep.begin(), keep.end());
+  // The selected features in selection order, once each; a name the base
+  // already has is the base column.
+  Table out(base.name());
+  std::unordered_set<std::string> seen(base_names.begin(), base_names.end());
   for (const auto& fs : ranked.selected_features) {
-    if (seen.insert(fs.name).second && current.HasColumn(fs.name)) {
-      keep.push_back(fs.name);
-    }
+    auto it = sources.find(fs.name);
+    if (it == sources.end() || !seen.insert(fs.name).second) continue;
+    const Source& from = it->second;
+    AF_RETURN_NOT_OK(out.AddColumn(
+        fs.name, GatherColumn(rights[from.hop]->column(from.column),
+                              hop_rows[from.hop])));
   }
-  AF_ASSIGN_OR_RETURN(Table augmented, current.SelectColumns(keep));
-  augmented.set_name(base->name() + "_augmented");
-  return augmented;
+  return out;
 }
 
 Result<AugmentationResult> AutoFeat::Augment(const std::string& base_table,
@@ -512,60 +564,75 @@ Result<AugmentationResult> AutoFeat::Augment(const std::string& base_table,
   obs::Increment(obs::GetCounter(metrics_, "evaluation.models_trained"),
                  k + 1);
 
+  // The split, the encoded base and its bin edges and codes are the same
+  // for every model, so they are prepared once.
+  ml::TrainingPlan plan;
+  {
+    obs::ScopedSpan span(tracer_, "augment.plan");
+    AF_ASSIGN_OR_RETURN(
+        plan, ml::TrainingPlan::Make(*base, label_column, model,
+                                     trainer_options, pool_.get(), tracer_));
+  }
+
   // Task 0 trains on the bare base table (the fallback when no rankable
-  // path exists); task i > 0 materialises and trains ranked path i-1. The
-  // tasks share nothing mutable — every one builds its own tables and seeds
-  // its own generators — so they run concurrently and merge in index order.
+  // path exists); task i > 0 trains on the base plus ranked path i-1's
+  // selected columns. The tasks share only the plan and the read-only
+  // caches, so they run concurrently and merge in index order. They start
+  // widest model first, so the cheap base model runs last, and a GBDT fit
+  // hands its row chunks to whatever lanes the other tasks leave idle.
+  std::vector<size_t> order(k + 1);
+  for (size_t i = 0; i <= k; ++i) order[i] = i;
+  auto width = [&](size_t i) {
+    return i == 0 ? 0 : out.discovery.ranked[i - 1].selected_features.size();
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return width(a) > width(b); });
   struct PathEval {
     Status status;
-    Table table;
     double accuracy = 0.0;
   };
   obs::TaskContext eval_ctx = obs::CaptureTaskContext(tracer_);
-  std::vector<PathEval> evals = ParallelMap<PathEval>(
-      pool_.get(), k + 1, /*grain=*/1, [&](size_t i) {
-        obs::ScopedWorkerSpan task_span(eval_ctx, "evaluate.path");
-        PathEval ev;
-        if (i == 0) {
-          auto eval =
-              ml::TrainAndEvaluate(*base, label_column, model,
-                                   trainer_options);
-          if (!eval.ok()) {
-            ev.status = eval.status();
-            return ev;
-          }
-          ev.table = *base;
-          ev.accuracy = eval->accuracy;
-          return ev;
-        }
-        auto augmented = MaterializeAugmentedTable(
-            base_table, out.discovery.ranked[i - 1], label_column);
-        if (!augmented.ok()) {
-          ev.status = augmented.status();
-          return ev;
-        }
-        auto eval = ml::TrainAndEvaluate(*augmented, label_column, model,
-                                         trainer_options);
-        if (!eval.ok()) {
-          ev.status = eval.status();
-          return ev;
-        }
-        ev.table = std::move(*augmented);
-        ev.accuracy = eval->accuracy;
+  auto evaluate = [&](size_t i) {
+    obs::ScopedWorkerSpan task_span(eval_ctx, "evaluate.path");
+    PathEval ev;
+    Table selected;
+    if (i > 0) {
+      auto gathered =
+          GatherSelectedColumns(base_table, out.discovery.ranked[i - 1]);
+      if (!gathered.ok()) {
+        ev.status = gathered.status();
         return ev;
-      });
+      }
+      selected = gathered.MoveValue();
+    }
+    auto eval = plan.Evaluate(selected);
+    if (!eval.ok()) {
+      ev.status = eval.status();
+      return ev;
+    }
+    ev.accuracy = eval->accuracy;
+    return ev;
+  };
+  std::vector<PathEval> evals(k + 1);
+  ParallelFor(pool_.get(), 0, k + 1, /*grain=*/1, [&](size_t position) {
+    evals[order[position]] = evaluate(order[position]);
+  });
 
   for (const PathEval& ev : evals) {
     if (!ev.status.ok()) return ev.status;
   }
-  out.augmented = std::move(evals[0].table);
-  out.accuracy = evals[0].accuracy;
+  size_t best = 0;
   for (size_t i = 1; i < evals.size(); ++i) {
-    if (evals[i].accuracy > out.accuracy) {
-      out.accuracy = evals[i].accuracy;
-      out.augmented = std::move(evals[i].table);
-      out.best_path = out.discovery.ranked[i - 1];
-    }
+    if (evals[i].accuracy > evals[best].accuracy) best = i;
+  }
+  out.accuracy = evals[best].accuracy;
+  if (best == 0) {
+    out.augmented = *base;
+  } else {
+    out.best_path = out.discovery.ranked[best - 1];
+    AF_ASSIGN_OR_RETURN(out.augmented,
+                        MaterializeAugmentedTable(base_table, out.best_path,
+                                                  label_column));
   }
   out.total_seconds = total_timer.ElapsedSeconds();
   return out;

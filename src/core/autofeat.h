@@ -71,11 +71,12 @@ struct AugmentationResult {
 ///
 /// With config.num_threads != 1 the engine owns a worker pool and runs the
 /// hot loops — frontier-candidate evaluation during discovery and top-k
-/// path materialisation/training — concurrently. Parallelism is invisible
-/// in the results: candidates are merged in deterministic edge order and
-/// stochastic tasks use RNG streams derived from (seed, task_index), so
-/// ranked paths, selected features and accuracies are byte-identical at any
-/// thread count (including the sequential num_threads=1 path).
+/// path training, down to row chunks inside one GBDT fit — concurrently.
+/// Parallelism is invisible in the results: candidates are merged in
+/// deterministic edge order and stochastic tasks use RNG streams derived
+/// from (seed, task_index), so ranked paths, selected features and
+/// accuracies are byte-identical at any thread count (including the
+/// sequential num_threads=1 path).
 class AutoFeat {
  public:
   /// `lake` and `drg` must outlive the engine.
@@ -124,17 +125,30 @@ class AutoFeat {
   Result<DiscoveryResult> DiscoverFeatures(const std::string& base_table,
                                            const std::string& label_column);
 
-  /// Full pipeline: discovery, then trains `model` on the top-k ranked
-  /// paths' augmented tables (full data) and returns the best.
+  /// Full pipeline: discovery, then trains `model` on the base and on the
+  /// top-k ranked paths' augmented tables (full data) and returns the best.
+  /// The k+1 models share one ml::TrainingPlan of the base; a path model
+  /// adds only its gathered selected columns, and only the winner is
+  /// materialised.
   Result<AugmentationResult> Augment(const std::string& base_table,
                                      const std::string& label_column,
                                      ml::ModelKind model);
 
   /// Materialises a join path against the full (unsampled) lake tables and
-  /// keeps base columns + the path's selected features.
+  /// keeps base columns + the path's selected features: the base table
+  /// followed by GatherSelectedColumns' columns.
   Result<Table> MaterializeAugmentedTable(const std::string& base_table,
                                           const RankedPath& ranked,
                                           const std::string& label_column);
+
+  /// The path's selected features as the full left-join chain over the
+  /// unsampled tables would hold them — one cell per base row, named and
+  /// ordered as MaterializeAugmentedTable appends them — without joining
+  /// any other column. Each hop's left key is resolved by name in the
+  /// accumulated join (`name#2` suffixes included), and its base-row ->
+  /// right-row mapping is composed from the join cache's indexes.
+  Result<Table> GatherSelectedColumns(const std::string& base_table,
+                                      const RankedPath& ranked);
 
  private:
   const DataLake* lake_;

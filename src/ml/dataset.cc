@@ -36,15 +36,18 @@ Result<Dataset> Dataset::FromTable(const Table& table,
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const std::string& name = table.schema().field(c).name;
     if (name == label_column) continue;
-    Column imputed = ImputeMostFrequent(table.column(c));
-    std::vector<double> numeric = imputed.ToNumeric();
-    for (double& v : numeric) {
-      if (std::isnan(v)) v = 0.0;  // All-null columns impute to default.
-    }
     ds.names_.push_back(name);
-    ds.columns_.push_back(std::move(numeric));
+    ds.columns_.push_back(EncodeFeature(table.column(c)));
   }
   return ds;
+}
+
+std::vector<double> Dataset::EncodeFeature(const Column& column) {
+  std::vector<double> numeric = ImputeMostFrequent(column).ToNumeric();
+  for (double& v : numeric) {
+    if (std::isnan(v)) v = 0.0;  // All-null columns impute to default.
+  }
+  return numeric;
 }
 
 Dataset Dataset::TakeRows(const std::vector<size_t>& rows) const {

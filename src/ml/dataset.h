@@ -27,11 +27,17 @@ class Dataset {
   static Result<Dataset> FromTable(const Table& table,
                                    const std::string& label_column);
 
+  /// One feature column as FromTable encodes it: nulls imputed with the
+  /// most frequent value, strings ordinally encoded, all-null as zeros. A
+  /// column's values depend on that column alone.
+  static std::vector<double> EncodeFeature(const Column& column);
+
   size_t num_rows() const { return labels_.size(); }
   size_t num_features() const { return columns_.size(); }
 
   const std::vector<std::string>& feature_names() const { return names_; }
   const std::vector<double>& column(size_t f) const { return columns_[f]; }
+  const std::vector<std::vector<double>>& columns() const { return columns_; }
   const std::vector<int>& labels() const { return labels_; }
 
   double at(size_t row, size_t feature) const {

@@ -7,12 +7,34 @@
 #include <utility>
 
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace autofeat::ml {
 
 namespace {
 
+// Rows per chunk of the gradient pass, a parallel histogram and prediction.
+constexpr size_t kRowChunk = 2048;
+// Nodes with at least this many rows build their histogram in row chunks on
+// the pool; smaller ones would spend more on waking a helper than it saves.
+constexpr size_t kParallelHistogramRows = 2 * kRowChunk;
+
+size_t NumRowChunks(size_t rows) { return (rows + kRowChunk - 1) / kRowChunk; }
+
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+// std::lower_bound's index over the sorted edges[0, n) with no branch on
+// the data: a bin code, the index of the first edge >= value. Every edge
+// before `base` is below the value, and the answer is at most base + n.
+size_t FirstEdgeAtLeast(const double* edges, size_t n, double value) {
+  const double* base = edges;
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half] < value ? base + half : base;
+    n -= half;
+  }
+  return static_cast<size_t>(base - edges) + (n == 1 && *base < value);
+}
 
 // Newton gain of a candidate child with gradient sum g and hessian sum h.
 double LeafGain(double g, double h, double lambda) {
@@ -21,45 +43,59 @@ double LeafGain(double g, double h, double lambda) {
 
 }  // namespace
 
-void FeatureBinner::Fit(const Dataset& data, int max_bins) {
-  edges_.assign(data.num_features(), {});
-  for (size_t f = 0; f < data.num_features(); ++f) {
-    std::vector<double> values = data.column(f);
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.size() <= 1) continue;  // Constant: single bin, no edges.
-    size_t bins = std::min<size_t>(static_cast<size_t>(max_bins),
-                                   values.size());
-    std::vector<double>& edges = edges_[f];
-    if (values.size() <= bins) {
-      // One bin per distinct value: edges at midpoints.
-      for (size_t i = 0; i + 1 < values.size(); ++i) {
-        edges.push_back((values[i] + values[i + 1]) / 2.0);
-      }
-    } else {
-      for (size_t b = 1; b < bins; ++b) {
-        size_t idx = b * values.size() / bins;
-        double edge = (values[idx - 1] + values[idx]) / 2.0;
-        if (edges.empty() || edge > edges.back()) edges.push_back(edge);
-      }
+std::vector<double> FeatureBinner::FitEdges(std::vector<double> values,
+                                            int max_bins) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  std::vector<double> edges;
+  if (values.size() <= 1) return edges;  // Constant: single bin, no edges.
+  size_t bins = std::min<size_t>(static_cast<size_t>(max_bins),
+                                 values.size());
+  if (values.size() <= bins) {
+    // One bin per distinct value: edges at midpoints.
+    for (size_t i = 0; i + 1 < values.size(); ++i) {
+      edges.push_back((values[i] + values[i + 1]) / 2.0);
     }
+  } else {
+    for (size_t b = 1; b < bins; ++b) {
+      size_t idx = b * values.size() / bins;
+      double edge = (values[idx - 1] + values[idx]) / 2.0;
+      if (edges.empty() || edge > edges.back()) edges.push_back(edge);
+    }
+  }
+  return edges;
+}
+
+std::vector<uint8_t> FeatureBinner::BinColumn(
+    const std::vector<double>& edges, const std::vector<double>& values) {
+  std::vector<uint8_t> codes(values.size());
+  for (size_t r = 0; r < values.size(); ++r) {
+    // First edge >= value; values above all edges land in the last bin.
+    codes[r] = static_cast<uint8_t>(
+        FirstEdgeAtLeast(edges.data(), edges.size(), values[r]));
+  }
+  return codes;
+}
+
+void FeatureBinner::Fit(const Dataset& data, int max_bins) {
+  edges_.clear();
+  for (size_t f = 0; f < data.num_features(); ++f) {
+    edges_.push_back(FitEdges(data.column(f), max_bins));
   }
 }
 
 uint8_t FeatureBinner::Bin(size_t feature, double value) const {
   const std::vector<double>& edges = edges_[feature];
-  // First edge >= value; values above all edges land in the last bin.
-  auto it = std::lower_bound(edges.begin(), edges.end(), value);
-  return static_cast<uint8_t>(it - edges.begin());
+  return static_cast<uint8_t>(
+      FirstEdgeAtLeast(edges.data(), edges.size(), value));
 }
 
 std::vector<std::vector<uint8_t>> FeatureBinner::BinAll(
     const Dataset& data) const {
-  std::vector<std::vector<uint8_t>> out(edges_.size());
+  std::vector<std::vector<uint8_t>> out;
+  out.reserve(edges_.size());
   for (size_t f = 0; f < edges_.size(); ++f) {
-    const std::vector<double>& col = data.column(f);
-    out[f].resize(col.size());
-    for (size_t r = 0; r < col.size(); ++r) out[f][r] = Bin(f, col[r]);
+    out.push_back(BinColumn(edges_[f], data.column(f)));
   }
   return out;
 }
@@ -82,10 +118,10 @@ Status Gbdt::CheckTrainingShape(size_t num_rows, int max_bins) {
 // feature after feature.
 class Gbdt::Grower {
  public:
-  Grower(Gbdt* model, const std::vector<std::vector<uint8_t>>& binned,
-         const std::vector<int64_t>& gh, int bits,
-         const std::vector<size_t>& features, std::vector<uint32_t>* rows,
-         std::vector<uint32_t>* scratch, Tree* tree)
+  Grower(Gbdt* model, const Codes& binned, const std::vector<int64_t>& gh,
+         int bits, const std::vector<size_t>& features,
+         std::vector<uint32_t>* rows, std::vector<uint32_t>* scratch,
+         ThreadPool* pool, Tree* tree)
       : options_(model->options_),
         binned_(binned),
         gh_(gh.data()),
@@ -94,6 +130,7 @@ class Gbdt::Grower {
         rows_(*rows),
         scratch_(*scratch),
         importances_(model->importances_),
+        pool_(pool),
         tree_(tree) {
     offsets_.push_back(0);
     for (size_t f : features) {
@@ -165,7 +202,7 @@ class Gbdt::Grower {
     }
     importances_[static_cast<size_t>(split.feature)] += split.gain;
     size_t mid = Partition(begin, end,
-                           binned_[static_cast<size_t>(split.feature)].data(),
+                           binned_[static_cast<size_t>(split.feature)],
                            split.bin);
     if (mid == begin || mid == end) {
       Release(&hist);
@@ -236,22 +273,46 @@ class Gbdt::Grower {
     return best;
   }
 
-  // Histogram of rows_[begin, end).
+  // Histogram of rows_[begin, end). A large node sums row chunks on the
+  // pool, chunk 0 into the histogram and the others into partials added
+  // after; integer sums make that exactly the one-pass histogram.
   std::vector<int64_t> Histogram(size_t begin, size_t end) {
-    std::vector<int64_t> hist;
-    if (free_.empty()) {
-      hist.assign(offsets_.back(), 0);
-    } else {
-      hist = std::move(free_.back());
-      free_.pop_back();
-      std::fill(hist.begin(), hist.end(), 0);
+    std::vector<int64_t> hist = Acquire();
+    if (pool_ == nullptr || end - begin < kParallelHistogramRows) {
+      Accumulate(begin, end, hist.data());
+      return hist;
     }
-    for (size_t i = 0; i < features_.size(); ++i) {
-      simd::AccumulateGh(binned_[features_[i]].data(), gh_,
-                         rows_.data() + begin, end - begin,
-                         hist.data() + offsets_[i]);
+    const size_t chunks = NumRowChunks(end - begin);
+    partials_.resize(chunks - 1);
+    for (std::vector<int64_t>& partial : partials_) {
+      partial.assign(offsets_.back(), 0);
+    }
+    ParallelFor(pool_, 0, chunks, 1, [&](size_t c) {
+      const size_t lo = begin + c * kRowChunk;
+      Accumulate(lo, std::min(end, lo + kRowChunk),
+                 c == 0 ? hist.data() : partials_[c - 1].data());
+    });
+    for (const std::vector<int64_t>& partial : partials_) {
+      for (size_t i = 0; i < hist.size(); ++i) hist[i] += partial[i];
     }
     return hist;
+  }
+
+  // A zeroed histogram, reusing a released one when there is one.
+  std::vector<int64_t> Acquire() {
+    if (free_.empty()) return std::vector<int64_t>(offsets_.back(), 0);
+    std::vector<int64_t> hist = std::move(free_.back());
+    free_.pop_back();
+    std::fill(hist.begin(), hist.end(), 0);
+    return hist;
+  }
+
+  // Adds rows_[begin, end) to `hist`, feature by feature.
+  void Accumulate(size_t begin, size_t end, int64_t* hist) const {
+    for (size_t i = 0; i < features_.size(); ++i) {
+      simd::AccumulateGh(binned_[features_[i]], gh_, rows_.data() + begin,
+                         end - begin, hist + offsets_[i]);
+    }
   }
 
   void Release(std::vector<int64_t>* hist) {
@@ -280,7 +341,7 @@ class Gbdt::Grower {
   }
 
   const GbdtOptions& options_;
-  const std::vector<std::vector<uint8_t>>& binned_;
+  const Codes& binned_;
   const int64_t* gh_;  // per row: fixed-point gradient, then hessian
   const double g_unit_;  // 2^-b
   const double h_unit_;  // 2^-(b+2)
@@ -289,24 +350,37 @@ class Gbdt::Grower {
   std::vector<uint32_t>& rows_;
   std::vector<uint32_t>& scratch_;
   std::vector<double>& importances_;
+  ThreadPool* pool_;
   Tree* tree_;
   std::vector<std::pair<size_t, size_t>> ranges_;  // per node: its rows_
   std::vector<std::vector<int64_t>> free_;  // histograms for reuse
+  std::vector<std::vector<int64_t>> partials_;  // chunk sums of Histogram
 };
 
 Status Gbdt::Fit(const Dataset& train) {
-  size_t n = train.num_rows();
+  AF_RETURN_NOT_OK(CheckTrainingShape(train.num_rows(), options_.max_bins));
+  FeatureBinner binner;
+  binner.Fit(train, options_.max_bins);
+  const std::vector<std::vector<uint8_t>> binned = binner.BinAll(train);
+  Codes codes;
+  for (const std::vector<uint8_t>& column : binned) {
+    codes.push_back(column.data());
+  }
+  return FitBinned(std::move(binner), codes, train.labels(), nullptr);
+}
+
+Status Gbdt::FitBinned(FeatureBinner binner, const Codes& codes,
+                       const std::vector<int>& labels, ThreadPool* pool) {
+  const size_t n = labels.size();
   AF_RETURN_NOT_OK(CheckTrainingShape(n, options_.max_bins));
-  num_features_ = train.num_features();
+  binner_ = std::move(binner);
+  num_features_ = codes.size();
   importances_.assign(num_features_, 0.0);
   trees_.clear();
 
-  binner_.Fit(train, options_.max_bins);
-  std::vector<std::vector<uint8_t>> binned = binner_.BinAll(train);
-
   // Base score: log-odds of the positive rate.
   double positives = 0;
-  for (size_t r = 0; r < n; ++r) positives += train.label(r);
+  for (size_t r = 0; r < n; ++r) positives += labels[r];
   double rate = std::clamp(positives / static_cast<double>(n), 1e-6, 1 - 1e-6);
   base_score_ = std::log(rate / (1.0 - rate));
 
@@ -321,16 +395,22 @@ Status Gbdt::Fit(const Dataset& train) {
   std::vector<int64_t> gh(2 * n);
   std::vector<uint32_t> rows, out_of_bag, scratch(n);
   Rng rng(options_.seed);
+  // Each row's quantised gradient and hessian depend on that row alone.
+  auto gradients = [&](size_t chunk) {
+    const size_t end = std::min(n, (chunk + 1) * kRowChunk);
+    for (size_t r = chunk * kRowChunk; r < end; ++r) {
+      double p = Sigmoid(score[r]);
+      double grad = p - static_cast<double>(labels[r]);
+      double hess = std::max(p * (1.0 - p), 1e-12);
+      gh[2 * r] = RoundHalfAwayFromZero(grad * g_scale);
+      // At least 1, so every non-empty node's hessian sum is positive.
+      gh[2 * r + 1] =
+          std::max<int64_t>(1, RoundHalfAwayFromZero(hess * h_scale));
+    }
+  };
 
   for (size_t round = 0; round < options_.num_rounds; ++round) {
-    for (size_t r = 0; r < n; ++r) {
-      double p = Sigmoid(score[r]);
-      double grad = p - static_cast<double>(train.label(r));
-      double hess = std::max(p * (1.0 - p), 1e-12);
-      gh[2 * r] = std::llround(grad * g_scale);
-      // At least 1, so every non-empty node's hessian sum is positive.
-      gh[2 * r + 1] = std::max<int64_t>(1, std::llround(hess * h_scale));
-    }
+    ParallelFor(pool, 0, NumRowChunks(n), 1, gradients);
 
     // Row subsampling.
     rows.clear();
@@ -365,12 +445,13 @@ Status Gbdt::Fit(const Dataset& train) {
     }
 
     Tree tree;
-    Grower grower(this, binned, gh, bits, features, &rows, &scratch, &tree);
+    Grower grower(this, codes, gh, bits, features, &rows, &scratch, pool,
+                  &tree);
     grower.Grow(rows.size());
     // Update every row's score with the new tree's prediction: sampled rows
     // through their leaf's range, the others by walking the tree.
     grower.AddLeafScores(&score);
-    for (uint32_t r : out_of_bag) score[r] += LeafValue(tree, binned, r);
+    for (uint32_t r : out_of_bag) score[r] += LeafValue(tree, codes, r);
     trees_.push_back(std::move(tree));
   }
 
@@ -397,14 +478,12 @@ double Gbdt::PredictRaw(const Dataset& data, size_t row) const {
   return score;
 }
 
-double Gbdt::LeafValue(const Tree& tree,
-                       const std::vector<std::vector<uint8_t>>& binned,
-                       size_t row) {
+double Gbdt::LeafValue(const Tree& tree, const Codes& codes, size_t row) {
   int node = 0;
   while (tree.nodes[node].feature >= 0) {
     const Node& nd = tree.nodes[node];
-    node = binned[static_cast<size_t>(nd.feature)][row] <= nd.bin ? nd.left
-                                                                  : nd.right;
+    node = codes[static_cast<size_t>(nd.feature)][row] <= nd.bin ? nd.left
+                                                                 : nd.right;
   }
   return tree.nodes[node].value;
 }
@@ -414,17 +493,29 @@ double Gbdt::PredictProba(const Dataset& data, size_t row) const {
 }
 
 std::vector<double> Gbdt::PredictProbaAll(const Dataset& data) const {
+  const std::vector<std::vector<uint8_t>> binned = binner_.BinAll(data);
+  Codes codes;
+  for (const std::vector<uint8_t>& column : binned) {
+    codes.push_back(column.data());
+  }
+  return PredictProbaBinned(codes, data.num_rows(), nullptr);
+}
+
+std::vector<double> Gbdt::PredictProbaBinned(const Codes& codes,
+                                             size_t num_rows,
+                                             ThreadPool* pool) const {
   // Same additions per row, in the same tree order, as PredictRaw; the
   // codes equal what PredictRaw's per-node Bin call computes.
-  std::vector<double> score(data.num_rows(), base_score_);
-  std::vector<std::vector<uint8_t>> binned = binner_.BinAll(data);
-  for (const Tree& tree : trees_) {
-    for (size_t r = 0; r < score.size(); ++r) {
-      score[r] += LeafValue(tree, binned, r);
+  std::vector<double> proba(num_rows);
+  ParallelFor(pool, 0, NumRowChunks(num_rows), 1, [&](size_t chunk) {
+    const size_t end = std::min(num_rows, (chunk + 1) * kRowChunk);
+    for (size_t r = chunk * kRowChunk; r < end; ++r) {
+      double score = base_score_;
+      for (const Tree& tree : trees_) score += LeafValue(tree, codes, r);
+      proba[r] = Sigmoid(score);
     }
-  }
-  for (double& s : score) s = Sigmoid(s);
-  return score;
+  });
+  return proba;
 }
 
 std::vector<double> Gbdt::FeatureImportances() const { return importances_; }

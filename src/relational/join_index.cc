@@ -110,9 +110,14 @@ std::vector<double> GatherNumericReference(const Column& src,
 
 std::vector<std::string> ResolveAppendedNames(const Table& left,
                                               const Table& right) {
+  return ResolveAppendedNames(left.ColumnNames(), right);
+}
+
+std::vector<std::string> ResolveAppendedNames(
+    const std::vector<std::string>& left_names, const Table& right) {
   std::unordered_set<std::string> used;
-  used.reserve(left.num_columns() + right.num_columns());
-  for (const auto& name : left.ColumnNames()) used.insert(name);
+  used.reserve(left_names.size() + right.num_columns());
+  for (const auto& name : left_names) used.insert(name);
 
   std::vector<std::string> out;
   out.reserve(right.num_columns());

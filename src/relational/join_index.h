@@ -94,6 +94,9 @@ size_t GatherNullCountReference(const Column& src,
 /// `left` (collision suffixes included), without performing the join.
 std::vector<std::string> ResolveAppendedNames(const Table& left,
                                               const Table& right);
+/// The same for a left table whose column names are `left_names`.
+std::vector<std::string> ResolveAppendedNames(
+    const std::vector<std::string>& left_names, const Table& right);
 
 /// Cardinality-normalised left join through a prebuilt index: output equals
 /// LeftJoin(left, left_key, right, ...) except that the per-key

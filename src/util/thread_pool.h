@@ -45,8 +45,18 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues a task; runs as soon as a worker is free.
-  void Submit(std::function<void()> task);
+  /// Enqueues a task; runs as soon as a worker is free. A task with an
+  /// `owner` can be withdrawn until a worker takes it.
+  void Submit(std::function<void()> task, const void* owner = nullptr);
+
+  /// Drops the queued tasks submitted with `owner` that no worker has
+  /// taken yet; returns how many.
+  size_t Withdraw(const void* owner);
+
+  /// Workers not running a task, less the tasks already queued for them:
+  /// how many submitted tasks would start at once. A snapshot; other
+  /// threads may take those workers before the caller submits.
+  size_t idle_workers() const;
 
   /// Attaches a metrics sink (null detaches). Queue/execution stats are
   /// scheduling-dependent, so they register as non-deterministic metrics:
@@ -69,8 +79,13 @@ class ThreadPool {
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;
-  std::deque<std::function<void()>> queue_;
+  struct Task {
+    std::function<void()> run;
+    const void* owner = nullptr;
+  };
+  std::deque<Task> queue_;
   bool stop_ = false;
+  size_t idle_ = 0;  // workers not running a task
   std::vector<std::thread> workers_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* tasks_submitted_ = nullptr;
@@ -81,10 +96,14 @@ class ThreadPool {
 /// Runs `fn(i)` for every i in [begin, end), chunked by `grain` (minimum
 /// iterations per task; 0 behaves like 1). With a null pool or a
 /// single-thread pool the loop runs inline on the caller. The caller thread
-/// participates in the work, so a pool of N threads applies N+1 lanes.
-/// Iterations may run in any order and concurrently — `fn` must only touch
-/// per-index state. If any iteration throws, the exception thrown by the
-/// lowest-indexed chunk is rethrown on the caller once all chunks finished.
+/// participates in the work, and helpers go only to idle workers, so a pool
+/// of N threads applies up to N+1 lanes. Calls nest: a loop inside another
+/// loop's iteration gets the workers that are idle at its start (none while
+/// its siblings keep the pool busy) and never waits for a helper that has
+/// not started. Iterations may run in any order and concurrently — `fn`
+/// must only touch per-index state. If any iteration throws, the exception
+/// thrown by the lowest-indexed chunk is rethrown on the caller once all
+/// chunks finished.
 void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t)>& fn);
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "support/ml_fixtures.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace autofeat::ml {
 namespace {
@@ -211,6 +216,103 @@ TEST(GbdtTest, NumTreesEqualsRounds) {
   Gbdt model(options);
   ASSERT_TRUE(model.Fit(train).ok());
   EXPECT_EQ(model.num_trees(), 17u);
+}
+
+TEST(RoundHalfAwayFromZeroTest, EqualsLlround) {
+  auto expect_same = [](double x) {
+    ASSERT_EQ(RoundHalfAwayFromZero(x), std::llround(x))
+        << std::hexfloat << x;
+  };
+  for (double x : {0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5,
+                   0.49999999999999994, -0.49999999999999994, 1e-300}) {
+    expect_same(x);
+  }
+  // Ties and their neighbours at every power of two the fraction can
+  // reach, then past 2^52, where every double is an integer.
+  for (int k = 0; k <= 61; ++k) {
+    const double p = std::ldexp(1.0, k);
+    for (double x : {p - 0.5, p + 0.5, p - 1.5, p + 1.5, p, p - 1.0}) {
+      for (double v : {x, std::nextafter(x, 0.0), std::nextafter(x, 2 * x)}) {
+        expect_same(v);
+        expect_same(-v);
+      }
+    }
+  }
+  // Near 2^61, where a small training set puts b = 61.
+  for (double x = std::ldexp(1.0, 61); x > std::ldexp(1.0, 60);
+       x -= std::ldexp(1.0, 55)) {
+    expect_same(x);
+    expect_same(-x);
+  }
+  // Seeded draws over the whole range a gradient or hessian scales into.
+  Rng rng(31);
+  for (int i = 0; i < 1000000; ++i) {
+    const double x = rng.Uniform(-1.0, 1.0) *
+                     std::ldexp(1.0, static_cast<int>(rng.UniformIndex(62)));
+    expect_same(x);
+  }
+}
+
+TEST(GbdtTest, FitBinnedOnAPoolEqualsFit) {
+  // Enough rows for chunked gradient passes and chunked root histograms;
+  // the XGBoost preset subsamples rows, so out-of-bag rows walk the trees.
+  Dataset train = MakeBlobs(20000, 0.4, 41);
+  Dataset test = MakeBlobs(2000, 0.4, 42);
+  for (Gbdt preset : {Gbdt::LightGbmLike(7), Gbdt::XgBoostLike(7)}) {
+    GbdtOptions options = preset.options();
+    options.num_rounds = 12;
+    Gbdt reference(options);
+    ASSERT_TRUE(reference.Fit(train).ok());
+    const std::vector<double> expected = reference.PredictProbaAll(test);
+
+    FeatureBinner binner;
+    binner.Fit(train, options.max_bins);
+    const auto train_codes = binner.BinAll(train);
+    const auto test_codes = binner.BinAll(test);
+    Gbdt::Codes train_ptrs, test_ptrs;
+    for (const auto& c : train_codes) train_ptrs.push_back(c.data());
+    for (const auto& c : test_codes) test_ptrs.push_back(c.data());
+    for (size_t threads : {2, 4}) {
+      ThreadPool pool(threads);
+      Gbdt model(options);
+      ASSERT_TRUE(
+          model.FitBinned(binner, train_ptrs, train.labels(), &pool).ok());
+      const std::vector<double> got =
+          model.PredictProbaBinned(test_ptrs, test.num_rows(), &pool);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[r]),
+                  std::bit_cast<uint64_t>(expected[r]))
+            << preset.name() << " threads " << threads << " row " << r;
+      }
+      EXPECT_EQ(model.FeatureImportances(), reference.FeatureImportances());
+    }
+  }
+}
+
+TEST(FeatureBinnerTest, BinColumnIsLowerBound) {
+  // Sorted edge lists of every length up to 255 (some with repeats), probed
+  // at each edge, between edges, beyond both ends, at infinities and NaN.
+  Rng rng(44);
+  for (size_t n = 0; n < 256; n += 1 + n / 8) {
+    std::vector<double> edges(n);
+    for (double& e : edges) e = std::floor(rng.Uniform(-50.0, 50.0));
+    std::sort(edges.begin(), edges.end());
+    std::vector<double> values = {-1e300, 1e300, std::nan(""),
+                                  -HUGE_VAL, HUGE_VAL, 0.0, -0.0};
+    for (double e : edges) {
+      values.push_back(e);
+      values.push_back(e + 0.5);
+      values.push_back(std::nextafter(e, -1e9));
+    }
+    const std::vector<uint8_t> codes = FeatureBinner::BinColumn(edges, values);
+    for (size_t i = 0; i < values.size(); ++i) {
+      const auto want =
+          std::lower_bound(edges.begin(), edges.end(), values[i]) -
+          edges.begin();
+      ASSERT_EQ(codes[i], want) << "n=" << n << " value " << values[i];
+    }
+  }
 }
 
 }  // namespace

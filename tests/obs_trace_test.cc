@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/autofeat.h"
 #include "datagen/lake_builder.h"
 #include "discovery/data_lake.h"
 #include "discovery/join_index_cache.h"
@@ -152,6 +156,54 @@ TEST(WorkerSpanTest, VolatileReportMarksWorkerSpans) {
   EXPECT_NE(deterministic.find("phase"), std::string::npos);
 }
 
+TEST(WorkerSpanTest, AugmentSplitsEachModelIntoTrainingStages) {
+  // Every evaluate.path span holds one model's ml.encode, ml.bin, ml.fit
+  // and ml.predict spans, run one after another on its lane, so their
+  // times add up to no more than the path span's.
+  datagen::LakeSpec spec;
+  spec.rows = 400;
+  spec.joinable_tables = 6;
+  spec.total_features = 30;
+  datagen::BuiltLake built = datagen::BuildLake(spec);
+  auto drg = BuildDrgFromKfk(built.lake);
+  ASSERT_TRUE(drg.ok());
+  obs::Tracer tracer;
+  AutoFeatConfig config;
+  config.sample_rows = 200;
+  config.num_threads = 4;
+  config.metrics_enabled = true;
+  config.tracer = &tracer;
+  {
+    AutoFeat engine(&built.lake, &*drg, config);
+    ASSERT_TRUE(engine
+                    .Augment(built.base_table, built.label_column,
+                             ml::ModelKind::kLightGbm)
+                    .ok());
+  }
+  const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  size_t plans = 0, paths = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "augment.plan") ++plans;
+    if (span.name != "evaluate.path") continue;
+    ++paths;
+    std::set<std::string> stages;
+    double children = 0.0;
+    for (const obs::SpanRecord& child : spans) {
+      if (child.parent != span.id) continue;
+      stages.insert(child.name);
+      EXPECT_EQ(child.thread, span.thread);
+      EXPECT_GE(child.start_seconds, span.start_seconds);
+      EXPECT_LE(child.end_seconds, span.end_seconds);
+      children += child.end_seconds - child.start_seconds;
+    }
+    EXPECT_EQ(stages, (std::set<std::string>{"ml.encode", "ml.bin", "ml.fit",
+                                             "ml.predict"}));
+    EXPECT_LE(children, span.end_seconds - span.start_seconds + 1e-9);
+  }
+  EXPECT_EQ(plans, 1u);
+  EXPECT_GE(paths, 2u);  // the base and at least one ranked path
+}
+
 // --- Chrome trace export ---
 
 TEST(ChromeTraceTest, EveryEventHasRequiredFieldsAndMultipleThreads) {
@@ -161,10 +213,22 @@ TEST(ChromeTraceTest, EveryEventHasRequiredFieldsAndMultipleThreads) {
     ThreadPool pool(4);
     pool.set_tracer(&tracer);
     obs::TaskContext ctx = obs::CaptureTaskContext(&tracer);
-    ParallelFor(&pool, 0, 64, /*grain=*/1, [&](size_t i) {
+    // The caller does not wait for helpers to start, so it could run every
+    // chunk itself; its chunks hold on (up to 10 s) until a helper has run
+    // one.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> helper_ran{false};
+    ParallelFor(&pool, 0, 64, /*grain=*/1, [&](size_t) {
       obs::ScopedWorkerSpan span(ctx, "task");
-      volatile size_t sink = 0;
-      for (size_t k = 0; k < 10000 + i; ++k) sink = sink + k;
+      if (std::this_thread::get_id() != caller) {
+        helper_ran = true;
+        return;
+      }
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!helper_ran && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
     });
   }
 

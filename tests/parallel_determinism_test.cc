@@ -115,13 +115,16 @@ TEST(ParallelDeterminismTest, AugmentMatchesAcrossThreadCounts) {
   auto drg = BuildDrgFromKfk(built.lake);
   ASSERT_TRUE(drg.ok());
 
-  // KNN plus both GBDT presets, whose k+1 models train concurrently.
-  for (ml::ModelKind model : {ml::ModelKind::kKnn, ml::ModelKind::kLightGbm,
-                              ml::ModelKind::kXgBoost}) {
+  // Every model kind: the k+1 models train concurrently on one shared
+  // plan, and the GBDTs also hand row chunks to idle lanes.
+  for (ml::ModelKind model :
+       {ml::ModelKind::kLightGbm, ml::ModelKind::kRandomForest,
+        ml::ModelKind::kExtraTrees, ml::ModelKind::kXgBoost,
+        ml::ModelKind::kKnn, ml::ModelKind::kLogRegL1}) {
     SCOPED_TRACE(ml::ModelKindName(model));
     double expected_accuracy = 0.0;
     std::string expected_path;
-    size_t expected_columns = 0;
+    Table expected_table;
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       AutoFeatConfig config;
       config.sample_rows = 200;
@@ -138,12 +141,11 @@ TEST(ParallelDeterminismTest, AugmentMatchesAcrossThreadCounts) {
       if (threads == 1) {
         expected_accuracy = result->accuracy;
         expected_path = path.str();
-        expected_columns = result->augmented.num_columns();
+        expected_table = std::move(result->augmented);
       } else {
         EXPECT_EQ(result->accuracy, expected_accuracy) << threads;
         EXPECT_EQ(path.str(), expected_path) << threads;
-        EXPECT_EQ(result->augmented.num_columns(), expected_columns)
-            << threads;
+        EXPECT_TRUE(result->augmented.Equals(expected_table)) << threads;
       }
     }
   }

@@ -33,6 +33,30 @@ TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   EXPECT_EQ(counter.load(), 100);
 }
 
+TEST(ThreadPoolTest, WithdrawDropsOnlyTheOwnersQueuedTasks) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.idle_workers(), 1u);
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocking{false};
+  pool.Submit([&] {
+    blocking = true;
+    while (!release) std::this_thread::yield();
+  });
+  while (!blocking) std::this_thread::yield();
+  EXPECT_EQ(pool.idle_workers(), 0u);
+  int owner_a = 0, owner_b = 0;
+  std::atomic<int> ran_a{0}, ran_b{0};
+  for (int i = 0; i < 3; ++i) {
+    pool.Submit([&] { ran_a.fetch_add(1); }, &owner_a);
+  }
+  pool.Submit([&] { ran_b.fetch_add(1); }, &owner_b);
+  EXPECT_EQ(pool.Withdraw(&owner_a), 3u);
+  EXPECT_EQ(pool.Withdraw(&owner_a), 0u);
+  release = true;
+  while (ran_b.load() == 0) std::this_thread::yield();
+  EXPECT_EQ(ran_a.load(), 0);
+}
+
 TEST(ParallelForTest, EmptyRangeIsANoOp) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
@@ -81,6 +105,26 @@ TEST(ParallelForTest, BackToBackCallsFromSeveralThreads) {
   }
   for (std::thread& caller : callers) caller.join();
   EXPECT_EQ(sum.load(), 3 * 2000 * 4);
+}
+
+TEST(ParallelForTest, NestedCallsRunEveryInnerIndexOnce) {
+  // Five outer tasks on three workers, each running an inner loop of eight
+  // chunks: every worker is inside an outer task while inner helpers could
+  // still be queued behind them. A caller that waited for its helpers to
+  // start would hang here (ctest's TIMEOUT turns that into a failure).
+  ThreadPool pool(3);
+  constexpr size_t kOuter = 5, kInner = 64;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    ParallelFor(&pool, 0, kOuter, 1, [&](size_t outer) {
+      ParallelFor(&pool, 0, kInner, 8, [&](size_t inner) {
+        hits[outer * kInner + inner].fetch_add(1);
+      });
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
 }
 
 TEST(ParallelForTest, NullPoolRunsInlineInOrder) {
